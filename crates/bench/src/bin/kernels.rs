@@ -2,6 +2,10 @@
 //! table+parallel matmul kernels over every 8-bit format, plus the f32
 //! serial vs parallel tensor layer.
 //!
+//! The status path is measured too: `ArithCtx::matmul8` (codes plus
+//! event counters) per format on each tier, and `ArithCtx::mul`/`add`
+//! in ns per op on each tier against the status-free `LutOp` lookup.
+//!
 //! Prints a markdown table by default; `--json` additionally writes
 //! `BENCH_kernels.json` (machine-readable, checked into the repo so the
 //! README's Performance section has provenance).
@@ -92,6 +96,69 @@ fn bench_format(fmt: Format8, m: usize, k: usize, n: usize) -> Row {
     }
 }
 
+/// `ArithCtx::matmul8` on each tier: the status path, which also counts
+/// every op's events and records them to the context's trace scope.
+fn bench_ctx_format(fmt: Format8, m: usize, k: usize, n: usize) -> Row {
+    let a: Vec<u8> = (0..m * k).map(|i| (i * 37 + 11) as u8).collect();
+    let b: Vec<u8> = (0..k * n).map(|i| (i * 91 + 3) as u8).collect();
+    let mut out = vec![0u8; m * n];
+    let mut time_tier = |tier: KernelTier| {
+        let mut ctx = ArithCtx::labeled("bench:ctx").with_tier(tier);
+        time_call(|| {
+            std::hint::black_box(ctx.matmul8(fmt, &a, &b, &mut out, m, k, n));
+        })
+    };
+    Row {
+        label: format!("ctx.matmul8[{}] {m}x{k}x{n}", fmt.id()),
+        macs: (m * k * n) as u64,
+        scalar: time_tier(KernelTier::Scalar),
+        table: time_tier(KernelTier::Table),
+        parallel: time_tier(KernelTier::Parallel),
+    }
+}
+
+/// Nanoseconds per `ArithCtx::mul`/`add` on each tier, and per status-free
+/// `LutOp` lookup (the ceiling).
+struct ScalarRow {
+    fmt: Format8,
+    /// `[scalar, table, parallel, lut]`.
+    ns: [f64; 4],
+}
+
+fn bench_ctx_scalar(fmt: Format8) -> ScalarRow {
+    const PAIRS: usize = 4096;
+    let pairs: Vec<(u8, u8)> = (0..PAIRS)
+        .map(|i| ((i * 37 + 11) as u8, (i * 91 + 3) as u8))
+        .collect();
+    let ops = (2 * PAIRS) as f64;
+    let per_op = |secs: f64| secs * 1e9 / ops;
+    let time_tier = |tier: KernelTier| {
+        let mut ctx = ArithCtx::labeled("bench:ctx").with_tier(tier);
+        per_op(time_call(|| {
+            for &(a, b) in &pairs {
+                std::hint::black_box(ctx.mul(fmt, a, b));
+                std::hint::black_box(ctx.add(fmt, a, b));
+            }
+        }))
+    };
+    let op = LutOp::new(fmt);
+    let lut = per_op(time_call(|| {
+        for &(a, b) in &pairs {
+            std::hint::black_box(op.mul(a, b));
+            std::hint::black_box(op.add(a, b));
+        }
+    }));
+    ScalarRow {
+        fmt,
+        ns: [
+            time_tier(KernelTier::Scalar),
+            time_tier(KernelTier::Table),
+            time_tier(KernelTier::Parallel),
+            lut,
+        ],
+    }
+}
+
 fn bench_f32(m: usize, k: usize, n: usize) -> Row {
     let a: Vec<f32> = (0..m * k).map(|i| i as f32 * 0.001 - 0.5).collect();
     let b: Vec<f32> = (0..k * n).map(|i| 0.5 - i as f32 * 0.001).collect();
@@ -147,6 +214,12 @@ fn main() {
         .map(|f| bench_format(f, m, k, n))
         .collect();
     rows.push(bench_f32(96, 128, 96));
+    rows.extend(
+        Format8::ALL
+            .into_iter()
+            .map(|f| bench_ctx_format(f, m, k, n)),
+    );
+    let scalar_rows: Vec<ScalarRow> = Format8::ALL.into_iter().map(bench_ctx_scalar).collect();
 
     let table_rows: Vec<Vec<String>> = rows
         .iter()
@@ -173,6 +246,25 @@ fn main() {
         &table_rows,
     );
 
+    println!();
+    print_table(
+        &[
+            "ctx.mul + ctx.add",
+            "scalar ns/op",
+            "table ns/op",
+            "parallel ns/op",
+            "LutOp ns/op",
+        ],
+        &scalar_rows
+            .iter()
+            .map(|r| {
+                let mut cells = vec![r.fmt.id().to_string()];
+                cells.extend(r.ns.iter().map(|ns| format!("{ns:.1}")));
+                cells
+            })
+            .collect::<Vec<_>>(),
+    );
+
     if json {
         let mut entries: Vec<String> = Vec::new();
         for r in &rows {
@@ -192,10 +284,31 @@ fn main() {
                 r.scalar / r.parallel,
             ));
         }
+        let scalar_entries: Vec<String> = scalar_rows
+            .iter()
+            .map(|r| {
+                format!(
+                    concat!(
+                        "    {{\"kernel\": \"ctx.mul+add[{}]\", ",
+                        "\"scalar_ns_per_op\": {:.2}, \"table_ns_per_op\": {:.2}, ",
+                        "\"parallel_ns_per_op\": {:.2}, \"lut_ns_per_op\": {:.2}}}"
+                    ),
+                    r.fmt.id(),
+                    r.ns[0],
+                    r.ns[1],
+                    r.ns[2],
+                    r.ns[3],
+                )
+            })
+            .collect();
         let doc = format!(
-            "{{\n  \"bench\": \"kernels\",\n  \"threads\": {},\n  \"cases\": [\n{}\n  ]\n}}\n",
+            concat!(
+                "{{\n  \"bench\": \"kernels\",\n  \"threads\": {},\n",
+                "  \"cases\": [\n{}\n  ],\n  \"ctx_scalar\": [\n{}\n  ]\n}}\n"
+            ),
             num_threads(),
-            entries.join(",\n")
+            entries.join(",\n"),
+            scalar_entries.join(",\n")
         );
         std::fs::write("BENCH_kernels.json", &doc).expect("write BENCH_kernels.json");
         println!("\nwrote BENCH_kernels.json");

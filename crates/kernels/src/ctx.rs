@@ -12,6 +12,7 @@
 use crate::format8::Format8;
 use crate::kernel::{Kernel, KernelTier};
 use crate::status::{Event8, StatusCounters};
+use crate::table::{add_event_table, add_table, mul_event_table, mul_table};
 
 /// An arithmetic context: kernel-tier selection + sticky status +
 /// trace scope, in one value.
@@ -116,30 +117,50 @@ impl ArithCtx {
 
     /// Bit-exact scalar multiply on raw codes; folds the raised events
     /// into the sticky status and the context's trace scope.
+    ///
+    /// `Table` and `Parallel` look the code and its events up in the
+    /// format's value and event tables; `Scalar` computes both with
+    /// [`Format8::mul_scalar_events`], the reference the tables are
+    /// built from.
     #[must_use]
     pub fn mul(&mut self, fmt: Format8, a: u8, b: u8) -> u8 {
-        let (r, ev) = fmt.mul_scalar_events(a, b);
-        self.counters.record(ev);
-        nga_obs::record_at(self.span.path(), |c| {
-            c.muls = c.muls.saturating_add(1);
-            c.ops = c.ops.saturating_add(1);
-            c.add_event_bits(ev.bits());
-        });
+        let (r, ev) = match self.tier {
+            KernelTier::Scalar => fmt.mul_scalar_events(a, b),
+            KernelTier::Table | KernelTier::Parallel => (
+                mul_table(fmt).get(a, b),
+                Event8::from_bits(mul_event_table(fmt).get(a, b)),
+            ),
+        };
+        self.fold_scalar(ev, |c| c.muls = c.muls.saturating_add(1));
         r
     }
 
     /// Bit-exact scalar add on raw codes; folds the raised events into
-    /// the sticky status and the context's trace scope.
+    /// the sticky status and the context's trace scope. Tier routing as
+    /// in [`mul`](Self::mul).
     #[must_use]
     pub fn add(&mut self, fmt: Format8, a: u8, b: u8) -> u8 {
-        let (r, ev) = fmt.add_scalar_events(a, b);
+        let (r, ev) = match self.tier {
+            KernelTier::Scalar => fmt.add_scalar_events(a, b),
+            KernelTier::Table | KernelTier::Parallel => (
+                add_table(fmt).get(a, b),
+                Event8::from_bits(add_event_table(fmt).get(a, b)),
+            ),
+        };
+        self.fold_scalar(ev, |c| c.adds = c.adds.saturating_add(1));
+        r
+    }
+
+    /// Folds one scalar op's events into the sticky status and, through
+    /// `nga-obs`'s thread-local buffer, into the context's trace scope.
+    #[inline]
+    fn fold_scalar(&mut self, ev: Event8, count_op: impl FnOnce(&mut nga_obs::OpCounts)) {
         self.counters.record(ev);
         nga_obs::record_at(self.span.path(), |c| {
-            c.adds = c.adds.saturating_add(1);
+            count_op(c);
             c.ops = c.ops.saturating_add(1);
             c.add_event_bits(ev.bits());
         });
-        r
     }
 
     /// `out = a · b` over 8-bit format codes through the selected tier.
@@ -214,6 +235,32 @@ mod tests {
                 assert_eq!(*ctx.counters(), want_s, "sticky = per-call on first op");
             }
         }
+    }
+
+    /// A context used and dropped on a scoped worker has published its
+    /// buffered trace counts by the time the scope returns.
+    #[cfg(not(feature = "obs-off"))]
+    #[test]
+    fn worker_ctx_counts_are_visible_after_the_scope() {
+        std::thread::scope(|s| {
+            for tier in KernelTier::ALL {
+                s.spawn(move || {
+                    let mut ctx = ArithCtx::labeled("ctx-test-worker").with_tier(tier);
+                    for _ in 0..50 {
+                        let _ = ctx.mul(Format8::Fixed8, 0x7F, 0x7F);
+                        let _ = ctx.add(Format8::Fixed8, 0x10, 0x10);
+                    }
+                });
+            }
+        });
+        let c = nga_obs::snapshot()
+            .get("ctx-test-worker")
+            .copied()
+            .unwrap_or_default();
+        assert_eq!(c.calls, 3);
+        assert_eq!((c.muls, c.adds, c.ops), (150, 150, 300));
+        // Q4.4 7.9375² saturates at the rail; 1 + 1 is exact.
+        assert_eq!(c.saturated, 150);
     }
 
     #[test]

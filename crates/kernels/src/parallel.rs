@@ -7,18 +7,25 @@
 //! to serial ones.
 
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Worker-thread count: the `NGA_THREADS` environment variable if set,
 /// otherwise the machine's available parallelism.
+///
+/// The machine's parallelism is read once per process: on Linux
+/// `available_parallelism` reads cgroup quota files, which costs tens of
+/// microseconds per call.
 #[must_use]
 pub fn num_threads() -> usize {
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
     if let Some(n) = std::env::var("NGA_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
     {
         return n.max(1);
     }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    *AVAILABLE
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
 /// Splits `0..n` into at most `parts` contiguous near-equal ranges
@@ -41,35 +48,58 @@ pub fn split_bands(n: usize, parts: usize) -> Vec<Range<usize>> {
     out
 }
 
+/// Output elements below which a banded kernel stays serial: under ~16k
+/// outputs the per-thread spawn cost (~10 µs) is comparable to the work
+/// itself.
+const PARALLEL_MIN_OUTPUTS: usize = 16_384;
+
 /// Runs `f(rows, band)` over contiguous row bands of `out`, in parallel
-/// when the work is large enough.
+/// when the work is large enough, and returns each band's result in row
+/// order.
 ///
 /// `out` has `rows` rows of `row_len` elements. Bands are disjoint
 /// `&mut` slices, so `f` needs no synchronisation. Falls back to one
 /// serial call (`f(0..rows, out)`) when a single thread is available or
-/// the matrix is small enough that spawn overhead would dominate.
-pub fn for_each_band<T: Send, F>(out: &mut [T], rows: usize, row_len: usize, f: F)
+/// the matrix has fewer than 16 384 elements. Callers that reduce band
+/// results (status counters) must use an order-independent fold, since
+/// the band count depends on the thread count.
+pub fn for_each_band<T: Send, R: Send, F>(
+    out: &mut [T],
+    rows: usize,
+    row_len: usize,
+    f: F,
+) -> Vec<R>
 where
-    F: Fn(Range<usize>, &mut [T]) + Sync,
+    F: Fn(Range<usize>, &mut [T]) -> R + Sync,
 {
     assert_eq!(out.len(), rows * row_len, "output shape mismatch");
-    let threads = num_threads().min(rows.max(1));
-    // Under ~16k output elements the per-thread spawn cost (~10 µs) is
-    // comparable to the work itself; stay serial.
-    if threads <= 1 || rows * row_len < 16_384 {
-        f(0..rows, out);
-        return;
+    // Size first: small kernels never pay for the thread-count lookup.
+    let threads = if rows * row_len < PARALLEL_MIN_OUTPUTS {
+        1
+    } else {
+        num_threads().min(rows.max(1))
+    };
+    if threads <= 1 {
+        return vec![f(0..rows, out)];
     }
-    let bands = split_bands(rows, threads);
+    let f = &f;
     std::thread::scope(|s| {
         let mut rest = out;
-        for band in bands {
-            let (head, tail) = rest.split_at_mut((band.end - band.start) * row_len);
-            rest = tail;
-            let f = &f;
-            s.spawn(move || f(band, head));
-        }
-    });
+        let workers: Vec<_> = split_bands(rows, threads)
+            .into_iter()
+            .map(|band| {
+                let (head, tail) = std::mem::take(&mut rest).split_at_mut(band.len() * row_len);
+                rest = tail;
+                s.spawn(move || f(band, head))
+            })
+            .collect();
+        workers
+            .into_iter()
+            // A band that panicked re-raises its panic here, exactly as
+            // the scope would at exit.
+            .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -107,6 +137,26 @@ mod tests {
         for r in 0..rows {
             for c in 0..row_len {
                 assert_eq!(out[r * row_len + c], r as u32 + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn for_each_band_returns_band_results_in_row_order() {
+        for (rows, row_len) in [(3usize, 5usize), (101, 257)] {
+            let mut out = vec![0u8; rows * row_len];
+            let bands = for_each_band(&mut out, rows, row_len, |band, slice| {
+                assert_eq!(slice.len(), band.len() * row_len);
+                band
+            });
+            let mut next = 0;
+            for b in &bands {
+                assert_eq!(b.start, next, "bands are returned in row order");
+                next = b.end;
+            }
+            assert_eq!(next, rows);
+            if rows * row_len < PARALLEL_MIN_OUTPUTS {
+                assert_eq!(bands.len(), 1, "small outputs stay serial");
             }
         }
     }

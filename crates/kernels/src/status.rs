@@ -15,6 +15,16 @@ use nga_core::PositEvents;
 use nga_fixed::FixedEvents;
 use nga_softfloat::Flags;
 
+/// Width of one event lane in a packed tally word.
+const TALLY_LANE_BITS: u32 = 9;
+/// Largest count one lane holds.
+const TALLY_LANE_MAX: u64 = (1 << TALLY_LANE_BITS) - 1;
+/// The low bit of each of the seven lanes (bits 0, 9, …, 54).
+const TALLY_LANE_LSBS: u64 = 1 | 1 << 9 | 1 << 18 | 1 << 27 | 1 << 36 | 1 << 45 | 1 << 54;
+/// Operations one packed tally word absorbs before a lane can overflow:
+/// each op adds at most one to each lane.
+pub(crate) const TALLY_CAPACITY: usize = TALLY_LANE_MAX as usize;
+
 /// Events one 8-bit scalar operation can raise, across all formats.
 ///
 /// IEEE formats use `NAR_NAN` (invalid → NaN), `DIV_BY_ZERO`, `OVERFLOW`,
@@ -55,6 +65,20 @@ impl Event8 {
     #[must_use]
     pub fn bits(&self) -> u8 {
         self.0
+    }
+
+    /// This event as a lane-packed tally word: bit `i` moves to bit
+    /// `9·i`, the low bit of lane `i`. Summing spread words counts each
+    /// event in its own lane without a branch; see
+    /// [`StatusCounters::record`] and the status matmul workers.
+    ///
+    /// The multiply places copy `j` of the 7-bit event at bit `8·j`, so
+    /// bit `i` of copy `i` lands at `9·i`. Copies are 8 bits apart and the
+    /// event is 7 bits wide, so they never overlap or carry.
+    #[inline(always)]
+    #[must_use]
+    pub(crate) fn spread(self) -> u64 {
+        (u64::from(self.0) * 0x0001_0101_0101_0101) & TALLY_LANE_LSBS
     }
 
     /// Whether all events in `other` are set in `self`.
@@ -193,28 +217,23 @@ impl StatusCounters {
     /// Record the events raised by one scalar operation.
     #[inline]
     pub fn record(&mut self, ev: Event8) {
-        self.ops = self.ops.saturating_add(1);
-        if ev.contains(Event8::NAR_NAN) {
-            self.nar_nan = self.nar_nan.saturating_add(1);
-        }
-        if ev.contains(Event8::INEXACT) {
-            self.inexact = self.inexact.saturating_add(1);
-        }
-        if ev.contains(Event8::OVERFLOW) {
-            self.overflow = self.overflow.saturating_add(1);
-        }
-        if ev.contains(Event8::UNDERFLOW) {
-            self.underflow = self.underflow.saturating_add(1);
-        }
-        if ev.contains(Event8::DIV_BY_ZERO) {
-            self.div_by_zero = self.div_by_zero.saturating_add(1);
-        }
-        if ev.contains(Event8::SATURATED) {
-            self.saturated = self.saturated.saturating_add(1);
-        }
-        if ev.contains(Event8::WRAPPED) {
-            self.wrapped = self.wrapped.saturating_add(1);
-        }
+        self.add_tally(1, ev.spread());
+    }
+
+    /// Folds `ops` operations whose [`Event8::spread`] words sum to
+    /// `tally`: each 9-bit lane adds to its event counter. The caller
+    /// keeps `ops ≤ TALLY_CAPACITY` so no lane has carried into the next.
+    #[inline]
+    pub(crate) fn add_tally(&mut self, ops: u64, tally: u64) {
+        let lane = |bit: u32| (tally >> (TALLY_LANE_BITS * bit)) & TALLY_LANE_MAX;
+        self.ops = self.ops.saturating_add(ops);
+        self.nar_nan = self.nar_nan.saturating_add(lane(0));
+        self.inexact = self.inexact.saturating_add(lane(1));
+        self.overflow = self.overflow.saturating_add(lane(2));
+        self.underflow = self.underflow.saturating_add(lane(3));
+        self.div_by_zero = self.div_by_zero.saturating_add(lane(4));
+        self.saturated = self.saturated.saturating_add(lane(5));
+        self.wrapped = self.wrapped.saturating_add(lane(6));
     }
 
     /// Fold another accumulator into this one (order-independent).
@@ -340,6 +359,63 @@ mod tests {
         let ev = Event8::DIV_BY_ZERO | Event8::UNDERFLOW;
         assert_eq!(Event8::from_bits(ev.bits()), ev);
         assert_eq!(ev.to_string(), "underflow|div0");
+    }
+
+    /// Per-bit reference for one op: what `record` did before the tally.
+    fn record_per_bit(c: &mut StatusCounters, ev: Event8) {
+        c.ops += 1;
+        let fields = [
+            (Event8::NAR_NAN, &mut c.nar_nan),
+            (Event8::INEXACT, &mut c.inexact),
+            (Event8::OVERFLOW, &mut c.overflow),
+            (Event8::UNDERFLOW, &mut c.underflow),
+            (Event8::DIV_BY_ZERO, &mut c.div_by_zero),
+            (Event8::SATURATED, &mut c.saturated),
+            (Event8::WRAPPED, &mut c.wrapped),
+        ];
+        for (flag, field) in fields {
+            *field += u64::from(ev.contains(flag));
+        }
+    }
+
+    #[test]
+    fn packed_tally_matches_per_bit_reference_for_every_event_byte() {
+        for bits in 0..=127u8 {
+            let ev = Event8::from_bits(bits);
+            let mut want = StatusCounters::new();
+            record_per_bit(&mut want, ev);
+            let mut got = StatusCounters::new();
+            got.add_tally(1, ev.spread());
+            assert_eq!(got, want, "event byte {bits:#04x}");
+            let mut recorded = StatusCounters::new();
+            recorded.record(ev);
+            assert_eq!(recorded, want, "record {bits:#04x}");
+        }
+    }
+
+    #[test]
+    fn packed_tally_lanes_hold_a_full_capacity_run() {
+        // Every op raising every event drives every lane to its maximum.
+        let all = Event8::from_bits(0x7F);
+        let tally: u64 = (0..TALLY_CAPACITY).map(|_| all.spread()).sum();
+        let mut got = StatusCounters::new();
+        got.add_tally(TALLY_CAPACITY as u64, tally);
+        let mut want = StatusCounters::new();
+        for _ in 0..TALLY_CAPACITY {
+            record_per_bit(&mut want, all);
+        }
+        assert_eq!(got, want);
+        assert_eq!(got.wrapped(), TALLY_CAPACITY as u64);
+        // Mixed events over every byte value, summed in one word.
+        let tally: u64 = (0..=127u8).map(|b| Event8::from_bits(b).spread()).sum();
+        let mut got = StatusCounters::new();
+        got.add_tally(128, tally);
+        let mut want = StatusCounters::new();
+        for b in 0..=127u8 {
+            record_per_bit(&mut want, Event8::from_bits(b));
+        }
+        assert_eq!(got, want);
+        assert_eq!(got.nar_nan(), 64, "half the bytes have bit 0 set");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 use std::ops::Range;
 
 use crate::format8::Format8;
-use crate::parallel::{for_each_band, num_threads, split_bands};
-use crate::status::StatusCounters;
+use crate::parallel::for_each_band;
+use crate::status::{StatusCounters, TALLY_CAPACITY};
 use crate::table::{BinaryTable, LutOp, StatusOp};
 
 /// Records one matmul's worth of arithmetic against the current obs
@@ -339,8 +339,13 @@ pub fn matmul8_tables(
 // ---------------------------------------------------------------------
 
 /// The status row worker shared by the table and parallel tiers: same
-/// accumulation order as [`matmul8_rows`], recording one mul and one add
+/// accumulation order as [`matmul8_rows`], counting one mul and one add
 /// event per MAC.
+///
+/// Events are tallied branch-free: each op's event byte is spread into a
+/// lane-packed word (`Event8::spread`) and summed, and the word is folded
+/// into the counters after at most [`TALLY_CAPACITY`] ops, before any
+/// 9-bit lane can overflow.
 fn matmul8_status_rows(
     op: &StatusOp,
     a: &[u8],
@@ -350,6 +355,8 @@ fn matmul8_status_rows(
     k: usize,
     n: usize,
 ) -> StatusCounters {
+    // Two ops (mul + add) per MAC.
+    const MACS_PER_TALLY: usize = TALLY_CAPACITY / 2;
     let mut counters = StatusCounters::new();
     for (li, gi) in rows.enumerate() {
         let arow = &a[gi * k..(gi + 1) * k];
@@ -357,12 +364,18 @@ fn matmul8_status_rows(
         orow.fill(0);
         for (kk, &av) in arow.iter().enumerate() {
             let brow = &b[kk * n..(kk + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                let (p, mul_ev) = op.mul(av, bv);
-                counters.record(mul_ev);
-                let (s, add_ev) = op.add(*o, p);
-                counters.record(add_ev);
-                *o = s;
+            for (ochunk, bchunk) in orow
+                .chunks_mut(MACS_PER_TALLY)
+                .zip(brow.chunks(MACS_PER_TALLY))
+            {
+                let mut tally = 0u64;
+                for (o, &bv) in ochunk.iter_mut().zip(bchunk) {
+                    let (p, mul_ev) = op.mul(av, bv);
+                    let (s, add_ev) = op.add(*o, p);
+                    tally += mul_ev.spread() + add_ev.spread();
+                    *o = s;
+                }
+                counters.add_tally(2 * ochunk.len() as u64, tally);
             }
         }
     }
@@ -439,31 +452,12 @@ pub(crate) fn status_parallel(
     check_matmul_shapes(a, b, out, m, k, n);
     let _span = nga_obs::span("matmul8:parallel");
     let op = StatusOp::new(fmt);
-    let threads = num_threads().min(m.max(1));
-    // Same serial-fallback threshold as `for_each_band`.
-    let total = if threads <= 1 || m * n < 16_384 {
-        matmul8_status_rows(&op, a, b, out, 0..m, k, n)
-    } else {
-        let bands = split_bands(m, threads);
-        let mut band_counters = vec![StatusCounters::new(); bands.len()];
-        std::thread::scope(|s| {
-            let mut rest = &mut out[..];
-            for (band, slot) in bands.iter().zip(band_counters.iter_mut()) {
-                let (head, tail) = rest.split_at_mut((band.end - band.start) * n);
-                rest = tail;
-                let band = band.clone();
-                let op = &op;
-                s.spawn(move || {
-                    *slot = matmul8_status_rows(op, a, b, head, band, k, n);
-                });
-            }
-        });
-        let mut total = StatusCounters::new();
-        for c in &band_counters {
-            total.merge(c);
-        }
-        total
-    };
+    let mut total = StatusCounters::new();
+    for band in for_each_band(out, m, n, |rows, oband| {
+        matmul8_status_rows(&op, a, b, oband, rows, k, n)
+    }) {
+        total.merge(&band);
+    }
     obs_status(m, k, n, 4, &total);
     total
 }

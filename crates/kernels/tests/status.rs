@@ -7,8 +7,8 @@
 
 use nga_kernels::{
     matmul8_scalar, matmul8_status_parallel, matmul8_status_scalar, matmul8_status_table,
-    matmul8_tables, mul_table, BinaryTable, Event8, Format8, Kernel, ParallelKernel,
-    ScalarKernel, StatusCounters, StatusOp, TableKernel,
+    matmul8_tables, mul_table, ArithCtx, BinaryTable, Event8, Format8, Kernel, KernelTier,
+    ParallelKernel, ScalarKernel, StatusCounters, StatusOp, TableKernel,
 };
 
 /// Exhaustive 8-bit sweep: the event tables must agree with the scalar
@@ -152,4 +152,35 @@ fn empty_counters_have_empty_union() {
     let c = StatusCounters::new();
     assert_eq!(c.ops(), 0);
     assert!(c.union().is_empty());
+}
+
+/// Lane overflow guard: with `n` and `k·n` far past the 511 ops a packed
+/// tally lane holds, and every multiply raising the same events, the
+/// table and parallel tiers still count exactly what the scalar tier
+/// counts.
+#[test]
+fn saturating_matmul_counts_exactly_past_tally_capacity() {
+    // m·n ≥ 16 384, so the parallel tier spawns bands.
+    let (m, k, n) = (16, 24, 1100);
+    let fmt = Format8::Fixed8;
+    // Q4.4 0x7F = 7.9375; every product saturates at the rail.
+    let (_, mul_ev) = fmt.mul_scalar_events(0x7F, 0x7F);
+    assert!(mul_ev.contains(Event8::SATURATED));
+    let a = vec![0x7Fu8; m * k];
+    let b = vec![0x7Fu8; k * n];
+    let mut want = vec![0u8; m * n];
+    let want_s = ArithCtx::labeled("status-test-overflow")
+        .with_tier(KernelTier::Scalar)
+        .matmul8(fmt, &a, &b, &mut want, m, k, n);
+    let macs = (m * k * n) as u64;
+    assert_eq!(want_s.ops(), 2 * macs);
+    assert!(want_s.saturated() >= macs, "every multiply saturates");
+    for tier in [KernelTier::Table, KernelTier::Parallel] {
+        let mut out = vec![0u8; m * n];
+        let s = ArithCtx::labeled("status-test-overflow")
+            .with_tier(tier)
+            .matmul8(fmt, &a, &b, &mut out, m, k, n);
+        assert_eq!(out, want, "{tier} codes");
+        assert_eq!(s, want_s, "{tier} counters");
+    }
 }

@@ -65,30 +65,18 @@ impl OpCounts {
     }
 
     /// Fold one raw event byte (the `Event8` bit layout) into the event
-    /// counters: each set bit increments its counter by one.
+    /// counters: each set bit increments its counter by one. Branch-free,
+    /// since event bits are data-dependent and mispredict.
     #[inline]
     pub fn add_event_bits(&mut self, bits: u8) {
-        if bits & 0x01 != 0 {
-            self.nar_nan = self.nar_nan.saturating_add(1);
-        }
-        if bits & 0x02 != 0 {
-            self.inexact = self.inexact.saturating_add(1);
-        }
-        if bits & 0x04 != 0 {
-            self.overflow = self.overflow.saturating_add(1);
-        }
-        if bits & 0x08 != 0 {
-            self.underflow = self.underflow.saturating_add(1);
-        }
-        if bits & 0x10 != 0 {
-            self.div_by_zero = self.div_by_zero.saturating_add(1);
-        }
-        if bits & 0x20 != 0 {
-            self.saturated = self.saturated.saturating_add(1);
-        }
-        if bits & 0x40 != 0 {
-            self.wrapped = self.wrapped.saturating_add(1);
-        }
+        let bit = |i: u32| u64::from((bits >> i) & 1);
+        self.nar_nan = self.nar_nan.saturating_add(bit(0));
+        self.inexact = self.inexact.saturating_add(bit(1));
+        self.overflow = self.overflow.saturating_add(bit(2));
+        self.underflow = self.underflow.saturating_add(bit(3));
+        self.div_by_zero = self.div_by_zero.saturating_add(bit(4));
+        self.saturated = self.saturated.saturating_add(bit(5));
+        self.wrapped = self.wrapped.saturating_add(bit(6));
     }
 
     /// Sum of the seven event counters.

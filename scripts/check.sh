@@ -5,7 +5,11 @@ set -eu
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q
+# Every workspace crate's tests, not only the root package's, at the
+# default thread count and serially: a test that depends on how many
+# tests run at once fails one of the two.
+cargo test -q --workspace
+cargo test -q --workspace -- --test-threads=1
 # Workspace invariants (bit-exactness, panic-freedom, LUT/kernel
 # consistency): fails on any finding and refreshes LINT_REPORT.json.
 cargo run -q --release -p nga-lint -- --json

@@ -6,8 +6,8 @@
 //! Three layers are pinned:
 //!
 //! 1. `ArithCtx::mul`/`add` vs `Format8::{mul,add}_scalar_events` —
-//!    exhaustive over all 65 536 code pairs for every 8-bit format,
-//!    both output codes and folded event counters;
+//!    exhaustive over all 65 536 code pairs for every 8-bit format and
+//!    every kernel tier, both output codes and folded event counters;
 //! 2. `ArithCtx::matmul8` vs the deprecated `matmul8_status_*` free
 //!    functions — per tier, output codes and counters;
 //! 3. the prelude itself: every re-exported item is usable from one
@@ -23,12 +23,15 @@ use nextgen_arith::kernels::{
     matmul8_status_parallel, matmul8_status_scalar, matmul8_status_table,
 };
 
-/// Replays a scalar-op sweep through both surfaces and demands identical
-/// codes and identical sticky counters.
+/// Replays a scalar-op sweep through both surfaces on every tier and
+/// demands identical codes and identical sticky counters.
 #[test]
 fn ctx_scalar_ops_match_event_surface_exhaustively() {
     for fmt in Format8::ALL {
-        let mut ctx = ArithCtx::labeled("conform:scalar").with_tier(KernelTier::Scalar);
+        let mut ctxs: Vec<ArithCtx> = KernelTier::ALL
+            .into_iter()
+            .map(|tier| ArithCtx::labeled("conform:scalar").with_tier(tier))
+            .collect();
         let mut want = StatusCounters::new();
         for a in 0..=255u8 {
             for b in 0..=255u8 {
@@ -36,12 +39,33 @@ fn ctx_scalar_ops_match_event_surface_exhaustively() {
                 let (wa, ea) = fmt.add_scalar_events(a, b);
                 want.record(em);
                 want.record(ea);
-                assert_eq!(ctx.mul(fmt, a, b), wm, "{} mul {a:#04x} {b:#04x}", fmt.id());
-                assert_eq!(ctx.add(fmt, a, b), wa, "{} add {a:#04x} {b:#04x}", fmt.id());
+                for ctx in &mut ctxs {
+                    let tier = ctx.tier();
+                    assert_eq!(
+                        ctx.mul(fmt, a, b),
+                        wm,
+                        "{} {tier} mul {a:#04x} {b:#04x}",
+                        fmt.id()
+                    );
+                    assert_eq!(
+                        ctx.add(fmt, a, b),
+                        wa,
+                        "{} {tier} add {a:#04x} {b:#04x}",
+                        fmt.id()
+                    );
+                }
             }
         }
-        assert_eq!(*ctx.counters(), want, "{} sticky counters", fmt.id());
-        assert_eq!(ctx.events(), want.union(), "{} sticky union", fmt.id());
+        for ctx in &ctxs {
+            let tier = ctx.tier();
+            assert_eq!(*ctx.counters(), want, "{} {tier} sticky counters", fmt.id());
+            assert_eq!(
+                ctx.events(),
+                want.union(),
+                "{} {tier} sticky union",
+                fmt.id()
+            );
+        }
     }
 }
 
@@ -100,7 +124,10 @@ fn prelude_walks() {
 
     // Scalar number systems.
     assert_eq!(Posit::from_f64(2.0, PositFormat::POSIT8).to_f64(), 2.0);
-    assert_eq!(SoftFloat::from_f64(2.0, FloatFormat::FP8_E4M3).to_f64(), 2.0);
+    assert_eq!(
+        SoftFloat::from_f64(2.0, FloatFormat::FP8_E4M3).to_f64(),
+        2.0
+    );
     let q = Fixed::from_f64(2.0, FixedFormat::Q4_4, RoundingMode::NearestEven).unwrap();
     assert_eq!(q.to_f64(), 2.0);
 
