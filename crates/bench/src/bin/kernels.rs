@@ -6,6 +6,12 @@
 //! event counters) per format on each tier, and `ArithCtx::mul`/`add`
 //! in ns per op on each tier against the status-free `LutOp` lookup.
 //!
+//! The ProxSim int8 path is measured as `QuantizedNetwork::forward`
+//! GMAC/s: whole kws_mini and resnet_mini inferences at the edge
+//! workload's sizes, and one single-conv network per distinct conv shape
+//! of resnet_mini and ResNet20, each with the Mitchell and the exact
+//! multiplier.
+//!
 //! Prints a markdown table by default; `--json` additionally writes
 //! `BENCH_kernels.json` (machine-readable, checked into the repo so the
 //! README's Performance section has provenance).
@@ -19,11 +25,16 @@
 
 use std::time::Instant;
 
+use nga_approx::ApproxMultiplier;
 use nga_bench::{banner, print_table};
 use nga_kernels::{
     matmul8, matmul8_parallel, matmul8_scalar, matmul_f32, matmul_f32_parallel, num_threads,
     ArithCtx, Format8, KernelTier, LutOp,
 };
+use nga_nn::layers::{Conv2d, Layer, Network};
+use nga_nn::models::{kws_mini, resnet20, resnet_mini};
+use nga_nn::quant::QuantizedNetwork;
+use nga_nn::Tensor;
 
 /// Times `f` repeatedly inside the measurement window; returns the best
 /// observed seconds per call.
@@ -175,6 +186,103 @@ fn bench_f32(m: usize, k: usize, n: usize) -> Row {
     }
 }
 
+/// `QuantizedNetwork::forward` throughput of one network for the Mitchell
+/// and the exact multiplier.
+struct QRow {
+    label: String,
+    macs: u64,
+    /// MAC/s with `[Mitchell, Exact]`.
+    ops: [f64; 2],
+}
+
+const QMULTS: [ApproxMultiplier; 2] = [ApproxMultiplier::Mitchell, ApproxMultiplier::Exact];
+
+/// A deterministic input of `shape` with values in `[-1, 1)`.
+fn qinput(shape: &[usize], salt: usize) -> Tensor {
+    let n: usize = shape.iter().product();
+    let data = (0..n)
+        .map(|i| ((i * 37 + salt * 11) % 97) as f32 / 48.5 - 1.0)
+        .collect();
+    Tensor::from_vec(shape, data)
+}
+
+fn bench_qnet(label: String, net: &Network, in_shape: &[usize]) -> QRow {
+    let calib: Vec<Tensor> = (0..4).map(|s| qinput(in_shape, s)).collect();
+    let q = QuantizedNetwork::from_float(net, &calib);
+    let x = qinput(in_shape, 9);
+    let macs = net.mac_count(in_shape);
+    QRow {
+        label,
+        macs,
+        ops: QMULTS.map(|m| {
+            macs as f64
+                / time_call(|| {
+                    std::hint::black_box(q.forward(&x, m));
+                })
+        }),
+    }
+}
+
+/// Every conv of `layers` with the input shape it sees, in network order.
+fn convs(layers: &[Layer], in_shape: &[usize], out: &mut Vec<(Conv2d, Vec<usize>)>) -> Vec<usize> {
+    let mut shape = in_shape.to_vec();
+    for l in layers {
+        match l {
+            Layer::Conv2d(c) => out.push((c.clone(), shape.clone())),
+            Layer::Residual(r) => {
+                convs(&r.shortcut, &shape, out);
+                shape = convs(&r.main, &shape, out);
+                continue;
+            }
+            _ => {}
+        }
+        shape = l.macs(&shape).1;
+    }
+    shape
+}
+
+/// Whole-model rows, then one row per distinct conv shape.
+fn bench_qforward() -> Vec<QRow> {
+    let mut rows = vec![
+        bench_qnet(
+            "qforward kws_mini".into(),
+            &kws_mini(24, 10, 16, 1),
+            &[1, 24, 10],
+        ),
+        bench_qnet(
+            "qforward resnet_mini".into(),
+            &resnet_mini(6, 10, 1),
+            &[3, 12, 12],
+        ),
+    ];
+    let mut seen = Vec::new();
+    for (net, shape) in [
+        (resnet_mini(6, 10, 1), [3, 12, 12]),
+        (resnet20(10, 1), [3, 32, 32]),
+    ] {
+        let mut found = Vec::new();
+        convs(&net.layers, &shape, &mut found);
+        for (c, in_shape) in found {
+            let label = format!(
+                "qconv {:?} s{} p{} on {}x{}",
+                c.weights.shape(),
+                c.stride,
+                c.pad,
+                in_shape[1],
+                in_shape[2]
+            );
+            if !seen.contains(&label) {
+                let one = Network {
+                    layers: vec![Layer::Conv2d(c)],
+                };
+                rows.push(bench_qnet(label.clone(), &one, &in_shape));
+                seen.push(label);
+            }
+        }
+    }
+    rows
+}
+
 fn fmt_ops(ops: f64) -> String {
     if ops >= 1e9 {
         format!("{:.2} G", ops / 1e9)
@@ -220,6 +328,7 @@ fn main() {
             .map(|f| bench_ctx_format(f, m, k, n)),
     );
     let scalar_rows: Vec<ScalarRow> = Format8::ALL.into_iter().map(bench_ctx_scalar).collect();
+    let qrows = bench_qforward();
 
     let table_rows: Vec<Vec<String>> = rows
         .iter()
@@ -265,6 +374,19 @@ fn main() {
             .collect::<Vec<_>>(),
     );
 
+    println!();
+    print_table(
+        &["QuantizedNetwork::forward", "MACs", "Mitchell", "Exact"],
+        &qrows
+            .iter()
+            .map(|r| {
+                let mut cells = vec![r.label.clone(), r.macs.to_string()];
+                cells.extend(r.ops.iter().map(|&o| format!("{}MAC/s", fmt_ops(o))));
+                cells
+            })
+            .collect::<Vec<_>>(),
+    );
+
     if json {
         let mut entries: Vec<String> = Vec::new();
         for r in &rows {
@@ -301,14 +423,31 @@ fn main() {
                 )
             })
             .collect();
+        let q_entries: Vec<String> = qrows
+            .iter()
+            .map(|r| {
+                format!(
+                    concat!(
+                        "    {{\"kernel\": \"{}\", \"macs_per_call\": {}, ",
+                        "\"mitchell_gmac_per_s\": {:.3}, \"exact_gmac_per_s\": {:.3}}}"
+                    ),
+                    r.label,
+                    r.macs,
+                    r.ops[0] / 1e9,
+                    r.ops[1] / 1e9,
+                )
+            })
+            .collect();
         let doc = format!(
             concat!(
                 "{{\n  \"bench\": \"kernels\",\n  \"threads\": {},\n",
-                "  \"cases\": [\n{}\n  ],\n  \"ctx_scalar\": [\n{}\n  ]\n}}\n"
+                "  \"cases\": [\n{}\n  ],\n  \"ctx_scalar\": [\n{}\n  ],\n",
+                "  \"qforward\": [\n{}\n  ]\n}}\n"
             ),
             num_threads(),
             entries.join(",\n"),
-            scalar_entries.join(",\n")
+            scalar_entries.join(",\n"),
+            q_entries.join(",\n")
         );
         std::fs::write("BENCH_kernels.json", &doc).expect("write BENCH_kernels.json");
         println!("\nwrote BENCH_kernels.json");

@@ -18,9 +18,9 @@
 //! * [`ParallelKernel`] — lookup tables plus scoped-thread row bands.
 //!
 //! The quantized-inference path gets the same treatment via
-//! [`MacTable`]: a 256 KiB signed multiply-accumulate table per
-//! [`nga_approx::ApproxMultiplier`], replacing a branch-and-widen per MAC
-//! with one indexed load.
+//! [`MacTable`]: a 128 KiB product-magnitude table per
+//! [`nga_approx::ApproxMultiplier`], replacing an abs-widen-multiply per
+//! MAC with one indexed load.
 
 #![forbid(unsafe_code)]
 

@@ -243,27 +243,27 @@ impl StatusOp {
     }
 }
 
-/// An exhaustive signed multiply-accumulate table for one approximate
-/// multiplier: `mac(w: i8, a: u8) = sign(w) · m.multiply(|w|, a)` for all
-/// 65 536 operand pairs (256 KiB of `i32`).
+/// An exhaustive multiply-accumulate table for one approximate
+/// multiplier: the product magnitude `m.multiply(|w|, a)` for all 65 536
+/// `(w: i8, a: u8)` operand pairs, as `u16` (128 KiB). [`MacTable::mac`]
+/// applies the sign of `w`.
 ///
 /// This is the quantized-inference inner op (`nga-nn`'s ProxSim path):
-/// one load replaces an abs/branch/widen/negate sequence per MAC.
+/// one load replaces an abs/widen/multiply sequence per MAC.
 pub struct MacTable {
-    entries: Box<[i32; 65536]>,
+    entries: Box<[u16; 65536]>,
 }
 
 impl MacTable {
     /// Builds the table for `m`.
     #[must_use]
     pub fn build(m: ApproxMultiplier) -> Self {
-        let mut entries = Box::new([0i32; 65536]);
+        let mut entries = Box::new([0u16; 65536]);
         for w in 0..=255u8 {
-            let wi = w as i8;
             for a in 0..=255u8 {
-                let p = i32::from(m.multiply(wi.unsigned_abs(), a));
                 // lint: allow(no-panic): (w << 8) | a < 65536 by construction
-                entries[(usize::from(w) << 8) | usize::from(a)] = if wi < 0 { -p } else { p };
+                entries[(usize::from(w) << 8) | usize::from(a)] =
+                    m.multiply((w as i8).unsigned_abs(), a);
             }
         }
         Self { entries }
@@ -274,7 +274,22 @@ impl MacTable {
     #[must_use]
     pub fn mac(&self, w: i8, a: u8) -> i32 {
         // lint: allow(no-panic): (w << 8) | a < 65536 by construction
-        self.entries[(usize::from(w as u8) << 8) | usize::from(a)]
+        let p = i32::from(self.entries[(usize::from(w as u8) << 8) | usize::from(a)]);
+        if w < 0 {
+            -p
+        } else {
+            p
+        }
+    }
+
+    /// The 256 product magnitudes `m.multiply(|w|, a)` of weight `w`,
+    /// indexed by activation code: a weight-stationary loop fetches it
+    /// once per weight and applies the sign of `w` itself.
+    #[inline(always)]
+    #[must_use]
+    pub fn row(&self, w: i8) -> &[u16] {
+        let base = usize::from(w as u8) << 8;
+        &self.entries[base..base + 256]
     }
 }
 

@@ -86,10 +86,10 @@ impl Conv2d {
             bias: Tensor::zeros(&[out_ch]),
             stride,
             pad,
-            grad_w: Tensor::zeros(&[out_ch, in_ch, k, k]),
-            grad_b: Tensor::zeros(&[out_ch]),
-            vel_w: Tensor::zeros(&[out_ch, in_ch, k, k]),
-            vel_b: Tensor::zeros(&[out_ch]),
+            grad_w: Tensor::zeros(&[0]),
+            grad_b: Tensor::zeros(&[0]),
+            vel_w: Tensor::zeros(&[0]),
+            vel_b: Tensor::zeros(&[0]),
             cache_in: None,
         }
     }
@@ -140,6 +140,8 @@ impl Conv2d {
         let Some(x) = self.cache_in.as_ref().cloned() else {
             return Err(BackwardError::missing("Conv2d"));
         };
+        let gw = state(&mut self.grad_w, &self.weights).data_mut();
+        state(&mut self.grad_b, &self.bias);
         let [out_ch, in_ch, k, _] = *self.weights.shape() else {
             unreachable!()
         };
@@ -166,8 +168,7 @@ impl Conv2d {
                                     continue;
                                 }
                                 let widx = ((oc * in_ch + ic) * k + ky) * k + kx;
-                                self.grad_w.data_mut()[widx] +=
-                                    g * x.at3(ic, iy as usize, ix as usize);
+                                gw[widx] += g * x.at3(ic, iy as usize, ix as usize);
                                 *grad_x.at3_mut(ic, iy as usize, ix as usize) +=
                                     g * self.weights.data()[widx];
                             }
@@ -211,10 +212,10 @@ impl DwConv2d {
             bias: Tensor::zeros(&[ch]),
             stride,
             pad,
-            grad_w: Tensor::zeros(&[ch, k, k]),
-            grad_b: Tensor::zeros(&[ch]),
-            vel_w: Tensor::zeros(&[ch, k, k]),
-            vel_b: Tensor::zeros(&[ch]),
+            grad_w: Tensor::zeros(&[0]),
+            grad_b: Tensor::zeros(&[0]),
+            vel_w: Tensor::zeros(&[0]),
+            vel_b: Tensor::zeros(&[0]),
             cache_in: None,
         }
     }
@@ -294,6 +295,8 @@ impl DwConv2d {
         let Some(x) = self.cache_in.as_ref().cloned() else {
             return Err(BackwardError::missing("DwConv2d"));
         };
+        let gw = state(&mut self.grad_w, &self.weights).data_mut();
+        state(&mut self.grad_b, &self.bias);
         let [ch, k, _] = *self.weights.shape() else {
             unreachable!()
         };
@@ -319,7 +322,7 @@ impl DwConv2d {
                                 continue;
                             }
                             let widx = (c * k + ky) * k + kx;
-                            self.grad_w.data_mut()[widx] += g * x.at3(c, iy as usize, ix as usize);
+                            gw[widx] += g * x.at3(c, iy as usize, ix as usize);
                             *grad_x.at3_mut(c, iy as usize, ix as usize) +=
                                 g * self.weights.data()[widx];
                         }
@@ -354,10 +357,10 @@ impl Dense {
         Self {
             weights: Tensor::from_vec(&[out, input], data),
             bias: Tensor::zeros(&[out]),
-            grad_w: Tensor::zeros(&[out, input]),
-            grad_b: Tensor::zeros(&[out]),
-            vel_w: Tensor::zeros(&[out, input]),
-            vel_b: Tensor::zeros(&[out]),
+            grad_w: Tensor::zeros(&[0]),
+            grad_b: Tensor::zeros(&[0]),
+            vel_w: Tensor::zeros(&[0]),
+            vel_b: Tensor::zeros(&[0]),
             cache_in: None,
         }
     }
@@ -411,13 +414,20 @@ impl Dense {
         let [out, input] = *self.weights.shape() else {
             unreachable!()
         };
+        assert_eq!(grad_y.len(), out, "dense output gradient size");
+        let gw = state(&mut self.grad_w, &self.weights).data_mut();
+        let gb = state(&mut self.grad_b, &self.bias).data_mut();
         let mut grad_x = Tensor::zeros(&[input]);
-        for o in 0..out {
-            let g = grad_y.data()[o];
-            self.grad_b.data_mut()[o] += g;
-            for i in 0..input {
-                self.grad_w.data_mut()[o * input + i] += g * x.data()[i];
-                grad_x.data_mut()[i] += g * self.weights.data()[o * input + i];
+        let gx = grad_x.data_mut();
+        let rows = gw
+            .chunks_exact_mut(input)
+            .zip(self.weights.data().chunks_exact(input));
+        for (((gw_row, w_row), gb), &g) in rows.zip(gb).zip(grad_y.data()) {
+            *gb += g;
+            for (((gwv, &wv), &xv), gxv) in gw_row.iter_mut().zip(w_row).zip(x.data()).zip(&mut *gx)
+            {
+                *gwv += g * xv;
+                *gxv += g * wv;
             }
         }
         Ok(grad_x)
@@ -838,12 +848,22 @@ impl Network {
 }
 
 fn sgd(w: &mut Tensor, g: &mut Tensor, v: &mut Tensor, lr: f32, momentum: f32) {
+    let (g, v) = (state(g, w), state(v, w));
     for i in 0..w.len() {
         let vel = momentum * v.data()[i] - lr * g.data()[i];
         v.data_mut()[i] = vel;
         w.data_mut()[i] += vel;
         g.data_mut()[i] = 0.0;
     }
+}
+
+/// A gradient or momentum buffer for parameter `p`, zero-filled on first
+/// use: an inference-only network carries no training state.
+fn state<'a>(buf: &'a mut Tensor, p: &Tensor) -> &'a mut Tensor {
+    if buf.len() != p.len() {
+        *buf = Tensor::zeros(p.shape());
+    }
+    buf
 }
 
 /// 2×2 max pooling, NaN-aware: poisoned (NaN) lanes are skipped so a
@@ -1007,6 +1027,24 @@ mod tests {
                 assert!((d.grad_w.data()[o * 4 + i] - x.data()[i]).abs() < 1e-6);
             }
         }
+    }
+
+    #[test]
+    fn training_state_is_allocated_on_first_use() {
+        let mut rng = rng();
+        let mut layer = Layer::Conv2d(Conv2d::new(&mut rng, 2, 1, 3, 1, 1));
+        let before = layer.clone();
+        // A step with no gradient yet moves nothing.
+        layer.step(0.1, 0.9);
+        let (Layer::Conv2d(c), Layer::Conv2d(b)) = (&layer, &before) else {
+            unreachable!()
+        };
+        assert_eq!(c.weights, b.weights);
+        assert_eq!(c.vel_w.shape(), c.weights.shape());
+        assert!(
+            b.grad_w.is_empty() && b.vel_w.is_empty(),
+            "fresh layers hold no training state"
+        );
     }
 
     #[test]

@@ -63,9 +63,11 @@
 //! }
 //! nga_obs::record_at(root.path(), |c| c.ops = c.ops.saturating_add(1));
 //! let report = nga_obs::snapshot();
-//! assert_eq!(report.get("demo/matmul").map(|c| c.muls), Some(8));
+//! // An `obs-off` build records nothing, so its report has no rows.
+//! let want = nga_obs::ENABLED.then_some(8);
+//! assert_eq!(report.get("demo/matmul").map(|c| c.muls), want);
 //! let json = report.to_json("quick");
-//! assert!(json.contains("\"demo/matmul\""));
+//! assert_eq!(json.contains("\"demo/matmul\""), nga_obs::ENABLED);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -80,6 +82,10 @@ mod imp;
 #[cfg(feature = "obs-off")]
 #[path = "disabled.rs"]
 mod imp;
+
+/// Whether this build records: `false` under the `obs-off` feature, where
+/// every entry point is a no-op and [`snapshot`] is always empty.
+pub const ENABLED: bool = cfg!(not(feature = "obs-off"));
 
 pub use counters::OpCounts;
 pub use imp::{record, record_at, reset, snapshot, span, Span};
