@@ -1,16 +1,9 @@
 //! [`ArithCtx`]: the one entry point for instrumented 8-bit arithmetic.
-//!
-//! Before this type, callers juggled three surfaces — bare scalar ops
-//! (`Format8::mul_scalar`), event-returning variants
-//! (`mul_scalar_events`), and per-tier status matmuls
-//! (`matmul8_status_*`) — and tier selection leaked through the
-//! `NGA_KERNEL` environment variable at every call site. An `ArithCtx`
-//! owns all three concerns: an explicit [`KernelTier`], sticky
-//! [`StatusCounters`], and an observability span that every operation
-//! reports into.
+//! It owns an explicit [`KernelTier`], sticky [`StatusCounters`], and an
+//! observability span that every operation reports into.
 
 use crate::format8::Format8;
-use crate::kernel::{Kernel, KernelTier};
+use crate::kernel::KernelTier;
 use crate::status::{Event8, StatusCounters};
 use crate::table::{add_event_table, add_table, mul_event_table, mul_table};
 
@@ -78,7 +71,7 @@ impl ArithCtx {
     /// ```
     /// use nga_kernels::{ArithCtx, KernelTier};
     /// let ctx = ArithCtx::new().with_tier(KernelTier::Scalar);
-    /// assert_eq!(ctx.kernel().name(), "scalar");
+    /// assert_eq!(ctx.tier().name(), "scalar");
     /// ```
     #[must_use]
     pub fn with_tier(mut self, tier: KernelTier) -> Self {
@@ -90,12 +83,6 @@ impl ArithCtx {
     #[must_use]
     pub fn tier(&self) -> KernelTier {
         self.tier
-    }
-
-    /// The effective tier's kernel vtable.
-    #[must_use]
-    pub fn kernel(&self) -> &'static dyn Kernel {
-        self.tier.kernel()
     }
 
     /// The sticky status counters accumulated by every op so far.
@@ -177,7 +164,7 @@ impl ArithCtx {
         k: usize,
         n: usize,
     ) -> StatusCounters {
-        let s = self.tier.kernel().matmul8_status(fmt, a, b, out, m, k, n);
+        let s = crate::tensor::matmul8_status(self.tier, fmt, a, b, out, m, k, n);
         self.counters.merge(&s);
         nga_obs::record_at(self.span.path(), |c| s.fold_into_obs(c));
         s
@@ -185,7 +172,7 @@ impl ArithCtx {
 
     /// `out = a · b` over f32 through the selected tier.
     pub fn matmul_f32(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        self.tier.kernel().matmul_f32(a, b, out, m, k, n);
+        self.tier.matmul_f32(a, b, out, m, k, n);
     }
 }
 
@@ -224,8 +211,7 @@ mod tests {
         let a: Vec<u8> = (0..m * k).map(|i| (i * 53 + 7) as u8).collect();
         let b: Vec<u8> = (0..k * n).map(|i| (i * 29 + 1) as u8).collect();
         for fmt in Format8::ALL {
-            let mut want = vec![0u8; m * n];
-            let want_s = crate::tensor::status_scalar(fmt, &a, &b, &mut want, m, k, n);
+            let (want, want_s) = crate::tensor::tests::naive_matmul8(fmt, &a, &b, m, k, n);
             for tier in KernelTier::ALL {
                 let mut ctx = ArithCtx::labeled("ctx-test-mm").with_tier(tier);
                 let mut out = vec![0u8; m * n];

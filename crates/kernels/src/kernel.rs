@@ -1,169 +1,9 @@
-//! The [`Kernel`] trait: one vtable over the three execution tiers so
-//! benchmarks and binaries can A/B scalar vs table vs table+parallel
-//! without duplicating call sites.
+//! [`KernelTier`]: the execution tiers benchmarks and binaries A/B
+//! (scalar vs table vs table+parallel), dispatched by `match`.
 
 use crate::format8::Format8;
-use crate::status::StatusCounters;
 use crate::table::LutOp;
 use crate::tensor;
-
-/// A tensor-kernel execution tier.
-pub trait Kernel: Sync {
-    /// Stable tier name (used in benchmark output and JSON).
-    fn name(&self) -> &'static str;
-
-    /// `out = a · b` over f32 (`a` m×k, `b` k×n, row-major).
-    fn matmul_f32(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize);
-
-    /// `out = a · b` over 8-bit format codes.
-    #[allow(clippy::too_many_arguments)]
-    fn matmul8(
-        &self,
-        fmt: Format8,
-        a: &[u8],
-        b: &[u8],
-        out: &mut [u8],
-        m: usize,
-        k: usize,
-        n: usize,
-    );
-
-    /// `out = a · b` over 8-bit format codes, returning per-event status
-    /// counters (one mul + one add event per MAC). Output codes equal
-    /// [`Self::matmul8`] and the counters are identical across all tiers.
-    #[allow(clippy::too_many_arguments)]
-    fn matmul8_status(
-        &self,
-        fmt: Format8,
-        a: &[u8],
-        b: &[u8],
-        out: &mut [u8],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) -> StatusCounters;
-}
-
-/// Reference tier: serial loops through the bit-exact scalar ops
-/// (decode → compute → encode per element pair).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ScalarKernel;
-
-impl Kernel for ScalarKernel {
-    fn name(&self) -> &'static str {
-        "scalar"
-    }
-
-    fn matmul_f32(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        tensor::matmul_f32(a, b, out, m, k, n);
-    }
-
-    fn matmul8(
-        &self,
-        fmt: Format8,
-        a: &[u8],
-        b: &[u8],
-        out: &mut [u8],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        tensor::matmul8_scalar(fmt, a, b, out, m, k, n);
-    }
-
-    fn matmul8_status(
-        &self,
-        fmt: Format8,
-        a: &[u8],
-        b: &[u8],
-        out: &mut [u8],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) -> StatusCounters {
-        tensor::status_scalar(fmt, a, b, out, m, k, n)
-    }
-}
-
-/// Table tier: serial loops, one 64 KiB lookup per multiply/add.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TableKernel;
-
-impl Kernel for TableKernel {
-    fn name(&self) -> &'static str {
-        "table"
-    }
-
-    fn matmul_f32(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        tensor::matmul_f32(a, b, out, m, k, n);
-    }
-
-    fn matmul8(
-        &self,
-        fmt: Format8,
-        a: &[u8],
-        b: &[u8],
-        out: &mut [u8],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        tensor::matmul8(&LutOp::new(fmt), a, b, out, m, k, n);
-    }
-
-    fn matmul8_status(
-        &self,
-        fmt: Format8,
-        a: &[u8],
-        b: &[u8],
-        out: &mut [u8],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) -> StatusCounters {
-        tensor::status_table(fmt, a, b, out, m, k, n)
-    }
-}
-
-/// Full tier: lookup tables plus scoped-thread row bands.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ParallelKernel;
-
-impl Kernel for ParallelKernel {
-    fn name(&self) -> &'static str {
-        "parallel"
-    }
-
-    fn matmul_f32(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        tensor::matmul_f32_parallel(a, b, out, m, k, n);
-    }
-
-    fn matmul8(
-        &self,
-        fmt: Format8,
-        a: &[u8],
-        b: &[u8],
-        out: &mut [u8],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        tensor::matmul8_parallel(&LutOp::new(fmt), a, b, out, m, k, n);
-    }
-
-    fn matmul8_status(
-        &self,
-        fmt: Format8,
-        a: &[u8],
-        b: &[u8],
-        out: &mut [u8],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) -> StatusCounters {
-        tensor::status_parallel(fmt, a, b, out, m, k, n)
-    }
-}
 
 /// An execution tier as a first-class value: the explicit way to pick a
 /// kernel, replacing ambient `NGA_KERNEL` reads scattered across callers.
@@ -171,13 +11,14 @@ impl Kernel for ParallelKernel {
 /// Construct one directly, [`parse`](Self::parse) it from a CLI argument,
 /// or take the documented environment fallback via
 /// [`from_env`](Self::from_env) — then hand it to
-/// [`ArithCtx::with_tier`](crate::ArithCtx::with_tier) or fetch the
-/// vtable with [`kernel`](Self::kernel).
+/// [`ArithCtx::with_tier`](crate::ArithCtx::with_tier) or call its
+/// [`matmul8`](Self::matmul8) / [`matmul_f32`](Self::matmul_f32)
+/// directly.
 ///
 /// ```
 /// use nga_kernels::KernelTier;
 /// assert_eq!(KernelTier::parse("table"), Some(KernelTier::Table));
-/// assert_eq!(KernelTier::Table.kernel().name(), "table");
+/// assert_eq!(KernelTier::Table.name(), "table");
 /// assert_eq!(KernelTier::default(), KernelTier::Parallel);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -194,7 +35,7 @@ impl KernelTier {
     /// All tiers, in escalation order.
     pub const ALL: [Self; 3] = [Self::Scalar, Self::Table, Self::Parallel];
 
-    /// Stable tier name (matches [`Kernel::name`]).
+    /// Stable tier name (used in benchmark output and JSON).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -207,12 +48,7 @@ impl KernelTier {
     /// Parses a tier name (`"scalar"` / `"table"` / `"parallel"`).
     #[must_use]
     pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "scalar" => Some(Self::Scalar),
-            "table" => Some(Self::Table),
-            "parallel" => Some(Self::Parallel),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|t| t.name() == s)
     }
 
     /// The documented environment fallback: reads `NGA_KERNEL`
@@ -222,23 +58,39 @@ impl KernelTier {
     /// rule keeps it that way.
     #[must_use]
     pub fn from_env() -> Self {
-        match std::env::var("NGA_KERNEL").as_deref() {
-            Ok("scalar") => Self::Scalar,
-            Ok("table") => Self::Table,
-            _ => Self::Parallel,
+        std::env::var("NGA_KERNEL")
+            .ok()
+            .and_then(|v| Self::parse(&v))
+            .unwrap_or_default()
+    }
+
+    /// `out = a · b` over 8-bit format codes on this tier (status-free;
+    /// the codes are identical on every tier).
+    #[allow(clippy::too_many_arguments)]
+    pub fn matmul8(
+        self,
+        fmt: Format8,
+        a: &[u8],
+        b: &[u8],
+        out: &mut [u8],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        match self {
+            Self::Scalar => tensor::matmul8_scalar(fmt, a, b, out, m, k, n),
+            Self::Table => tensor::matmul8(&LutOp::new(fmt), a, b, out, m, k, n),
+            Self::Parallel => tensor::matmul8_parallel(&LutOp::new(fmt), a, b, out, m, k, n),
         }
     }
 
-    /// The tier's kernel vtable.
-    #[must_use]
-    pub fn kernel(self) -> &'static dyn Kernel {
-        static SCALAR: ScalarKernel = ScalarKernel;
-        static TABLE: TableKernel = TableKernel;
-        static PARALLEL: ParallelKernel = ParallelKernel;
+    /// `out = a · b` over f32 (`a` m×k, `b` k×n, row-major) on this tier:
+    /// serial on `Scalar` and `Table`, row-banded on `Parallel`, with
+    /// bit-identical results.
+    pub fn matmul_f32(self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
         match self {
-            Self::Scalar => &SCALAR,
-            Self::Table => &TABLE,
-            Self::Parallel => &PARALLEL,
+            Self::Scalar | Self::Table => tensor::matmul_f32(a, b, out, m, k, n),
+            Self::Parallel => tensor::matmul_f32_parallel(a, b, out, m, k, n),
         }
     }
 }
@@ -257,24 +109,12 @@ impl std::fmt::Display for KernelTier {
     }
 }
 
-/// The tier selected by the `NGA_KERNEL` environment variable
-/// (`scalar` / `table` / `parallel`; default `parallel`).
-#[must_use]
-#[deprecated(
-    since = "0.1.0",
-    note = "use `KernelTier::from_env().kernel()`, or better an explicit `ArithCtx::with_tier`"
-)]
-pub fn default_kernel() -> &'static dyn Kernel {
-    KernelTier::from_env().kernel()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn tiers_agree_on_both_domains() {
-        let kernels: [&dyn Kernel; 3] = [&ScalarKernel, &TableKernel, &ParallelKernel];
         let (m, k, n) = (4, 6, 5);
         let af: Vec<f32> = (0..m * k).map(|i| i as f32 * 0.01 - 0.1).collect();
         let bf: Vec<f32> = (0..k * n).map(|i| 0.2 - i as f32 * 0.01).collect();
@@ -282,15 +122,15 @@ mod tests {
         let b8: Vec<u8> = (0..k * n).map(|i| (i * 29 + 1) as u8).collect();
         let mut f32_ref = vec![0.0; m * n];
         let mut u8_ref = vec![0u8; m * n];
-        kernels[0].matmul_f32(&af, &bf, &mut f32_ref, m, k, n);
-        kernels[0].matmul8(Format8::Posit8, &a8, &b8, &mut u8_ref, m, k, n);
-        for kr in &kernels[1..] {
+        KernelTier::Scalar.matmul_f32(&af, &bf, &mut f32_ref, m, k, n);
+        KernelTier::Scalar.matmul8(Format8::Posit8, &a8, &b8, &mut u8_ref, m, k, n);
+        for tier in [KernelTier::Table, KernelTier::Parallel] {
             let mut f = vec![0.0; m * n];
             let mut u = vec![0u8; m * n];
-            kr.matmul_f32(&af, &bf, &mut f, m, k, n);
-            kr.matmul8(Format8::Posit8, &a8, &b8, &mut u, m, k, n);
-            assert_eq!(f, f32_ref, "{} f32", kr.name());
-            assert_eq!(u, u8_ref, "{} u8", kr.name());
+            tier.matmul_f32(&af, &bf, &mut f, m, k, n);
+            tier.matmul8(Format8::Posit8, &a8, &b8, &mut u, m, k, n);
+            assert_eq!(f, f32_ref, "{tier} f32");
+            assert_eq!(u, u8_ref, "{tier} u8");
         }
     }
 }

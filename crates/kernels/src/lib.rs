@@ -9,13 +9,13 @@
 //! kernels (dot, matmul, im2col convolution) on top, with optional
 //! `std::thread::scope` row parallelism — no external dependencies.
 //!
-//! Three interchangeable [`Kernel`] implementations let benchmarks A/B
-//! the tiers:
+//! Three interchangeable [`KernelTier`] variants let benchmarks A/B the
+//! tiers, all running the same 8-bit row worker:
 //!
-//! * [`ScalarKernel`] — decode/compute/encode every element through the
-//!   reference scalar ops.
-//! * [`TableKernel`] — one 64 KiB lookup per multiply/add.
-//! * [`ParallelKernel`] — lookup tables plus scoped-thread row bands.
+//! * [`KernelTier::Scalar`] — decode/compute/encode every element through
+//!   the reference scalar ops.
+//! * [`KernelTier::Table`] — one 64 KiB lookup per multiply/add.
+//! * [`KernelTier::Parallel`] — lookup tables plus scoped-thread row bands.
 //!
 //! The quantized-inference path gets the same treatment via
 //! [`MacTable`]: a 128 KiB product-magnitude table per
@@ -34,7 +34,7 @@ mod tensor;
 
 pub use ctx::ArithCtx;
 pub use format8::Format8;
-pub use kernel::{Kernel, KernelTier, ParallelKernel, ScalarKernel, TableKernel};
+pub use kernel::KernelTier;
 pub use parallel::{for_each_band, num_threads, split_bands};
 pub use status::{Event8, StatusCounters};
 pub use table::{
@@ -42,12 +42,6 @@ pub use table::{
     MacTable, StatusOp,
 };
 pub use tensor::{
-    conv2d_f32, dot8, dot_f32, im2col, matmul8, matmul8_parallel, matmul8_scalar, matmul8_tables,
+    conv2d_f32, dot_f32, im2col, matmul8, matmul8_parallel, matmul8_scalar, matmul8_tables,
     matmul_f32, matmul_f32_parallel,
 };
-
-// Deprecated shims, re-exported so pre-`ArithCtx` code keeps compiling.
-#[allow(deprecated)]
-pub use kernel::default_kernel;
-#[allow(deprecated)]
-pub use tensor::{matmul8_status_parallel, matmul8_status_scalar, matmul8_status_table};

@@ -9,23 +9,25 @@
 use std::ops::Range;
 use std::sync::OnceLock;
 
-/// Worker-thread count: the `NGA_THREADS` environment variable if set,
-/// otherwise the machine's available parallelism.
+/// Worker-thread count: the `NGA_THREADS` environment variable if set to
+/// a number (0 counts as 1), otherwise the machine's available
+/// parallelism.
 ///
-/// The machine's parallelism is read once per process: on Linux
-/// `available_parallelism` reads cgroup quota files, which costs tens of
-/// microseconds per call.
+/// Both are read once per process, at the first call: later changes to
+/// `NGA_THREADS` are not seen. (On Linux `available_parallelism` reads
+/// cgroup quota files, which costs tens of microseconds per call.)
 #[must_use]
 pub fn num_threads() -> usize {
-    static AVAILABLE: OnceLock<usize> = OnceLock::new();
-    if let Some(n) = std::env::var("NGA_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        return n.max(1);
-    }
-    *AVAILABLE
-        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::env::var("NGA_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .map_or_else(
+                || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+                |n| n.max(1),
+            )
+    })
 }
 
 /// Splits `0..n` into at most `parts` contiguous near-equal ranges

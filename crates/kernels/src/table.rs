@@ -19,9 +19,10 @@ use crate::format8::Format8;
 /// format is a single-event-upset target: one flipped bit silently
 /// corrupts every MAC that touches that entry. The stored checksum lets
 /// integrity be re-verified at any point ([`Self::verify`]) so callers
-/// can fall back to the scalar tier ([`crate::Kernel`]) when a table has
-/// been damaged; [`Self::corrupt_entry`] is the fault-injection hook that
-/// models the upset (it deliberately does *not* refresh the checksum).
+/// can fall back to the scalar tier ([`crate::KernelTier::Scalar`]) when
+/// a table has been damaged; [`Self::corrupt_entry`] is the
+/// fault-injection hook that models the upset (it deliberately does
+/// *not* refresh the checksum).
 pub struct BinaryTable {
     entries: Box<[u8; 65536]>,
     checksum: u64,
@@ -92,18 +93,8 @@ impl std::fmt::Debug for BinaryTable {
     }
 }
 
-static MUL_TABLES: [OnceLock<BinaryTable>; 4] = [
-    OnceLock::new(),
-    OnceLock::new(),
-    OnceLock::new(),
-    OnceLock::new(),
-];
-static ADD_TABLES: [OnceLock<BinaryTable>; 4] = [
-    OnceLock::new(),
-    OnceLock::new(),
-    OnceLock::new(),
-    OnceLock::new(),
-];
+static MUL_TABLES: [OnceLock<BinaryTable>; 4] = [const { OnceLock::new() }; 4];
+static ADD_TABLES: [OnceLock<BinaryTable>; 4] = [const { OnceLock::new() }; 4];
 
 /// The process-wide multiply table for `fmt` (built on first use).
 #[inline]
@@ -117,18 +108,8 @@ pub fn add_table(fmt: Format8) -> &'static BinaryTable {
     ADD_TABLES[fmt.index()].get_or_init(|| BinaryTable::build(|a, b| fmt.add_scalar_events(a, b).0))
 }
 
-static MUL_EVENT_TABLES: [OnceLock<BinaryTable>; 4] = [
-    OnceLock::new(),
-    OnceLock::new(),
-    OnceLock::new(),
-    OnceLock::new(),
-];
-static ADD_EVENT_TABLES: [OnceLock<BinaryTable>; 4] = [
-    OnceLock::new(),
-    OnceLock::new(),
-    OnceLock::new(),
-    OnceLock::new(),
-];
+static MUL_EVENT_TABLES: [OnceLock<BinaryTable>; 4] = [const { OnceLock::new() }; 4];
+static ADD_EVENT_TABLES: [OnceLock<BinaryTable>; 4] = [const { OnceLock::new() }; 4];
 
 /// The process-wide multiply *event* table for `fmt`: entry `(a, b)`
 /// holds [`Event8::bits`](crate::Event8::bits) of the status the scalar
@@ -152,7 +133,6 @@ pub fn add_event_table(fmt: Format8) -> &'static BinaryTable {
 /// kernels thread through their inner loops.
 #[derive(Debug, Clone, Copy)]
 pub struct LutOp {
-    format: Format8,
     mul: &'static BinaryTable,
     add: &'static BinaryTable,
 }
@@ -162,17 +142,9 @@ impl LutOp {
     #[must_use]
     pub fn new(fmt: Format8) -> Self {
         Self {
-            format: fmt,
             mul: mul_table(fmt),
             add: add_table(fmt),
         }
-    }
-
-    /// The format these tables encode.
-    #[inline(always)]
-    #[must_use]
-    pub fn format(&self) -> Format8 {
-        self.format
     }
 
     /// Table-driven multiply.
@@ -195,7 +167,6 @@ impl LutOp {
 /// Each multiply/add costs two loads (value + event bits) instead of one.
 #[derive(Debug, Clone, Copy)]
 pub struct StatusOp {
-    format: Format8,
     mul: &'static BinaryTable,
     add: &'static BinaryTable,
     mul_events: &'static BinaryTable,
@@ -207,19 +178,11 @@ impl StatusOp {
     #[must_use]
     pub fn new(fmt: Format8) -> Self {
         Self {
-            format: fmt,
             mul: mul_table(fmt),
             add: add_table(fmt),
             mul_events: mul_event_table(fmt),
             add_events: add_event_table(fmt),
         }
-    }
-
-    /// The format these tables encode.
-    #[inline(always)]
-    #[must_use]
-    pub fn format(&self) -> Format8 {
-        self.format
     }
 
     /// Table-driven multiply with its status events.
@@ -301,20 +264,7 @@ impl std::fmt::Debug for MacTable {
 
 const MAC_VARIANTS: usize = 12;
 
-static MAC_TABLES: [OnceLock<MacTable>; MAC_VARIANTS] = [
-    OnceLock::new(),
-    OnceLock::new(),
-    OnceLock::new(),
-    OnceLock::new(),
-    OnceLock::new(),
-    OnceLock::new(),
-    OnceLock::new(),
-    OnceLock::new(),
-    OnceLock::new(),
-    OnceLock::new(),
-    OnceLock::new(),
-    OnceLock::new(),
-];
+static MAC_TABLES: [OnceLock<MacTable>; MAC_VARIANTS] = [const { OnceLock::new() }; MAC_VARIANTS];
 
 fn mac_index(m: ApproxMultiplier) -> usize {
     match m {
@@ -340,8 +290,6 @@ pub fn mac_table(m: ApproxMultiplier) -> &'static MacTable {
 }
 
 #[cfg(test)]
-// Spot checks pin the deprecated convenience shims to the tables too.
-#[allow(deprecated)]
 mod tests {
     use super::*;
 
@@ -350,8 +298,8 @@ mod tests {
         for fmt in Format8::ALL {
             let op = LutOp::new(fmt);
             for (a, b) in [(0u8, 0u8), (0x40, 0x40), (0x80, 0x23), (0xFF, 0x01)] {
-                assert_eq!(op.mul(a, b), fmt.mul_scalar(a, b), "{} mul", fmt.id());
-                assert_eq!(op.add(a, b), fmt.add_scalar(a, b), "{} add", fmt.id());
+                assert_eq!(op.mul(a, b), fmt.mul_scalar_events(a, b).0, "{} mul", fmt.id());
+                assert_eq!(op.add(a, b), fmt.add_scalar_events(a, b).0, "{} add", fmt.id());
             }
         }
     }

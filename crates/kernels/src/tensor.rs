@@ -8,15 +8,17 @@
 use std::ops::Range;
 
 use crate::format8::Format8;
+use crate::kernel::KernelTier;
 use crate::parallel::for_each_band;
 use crate::status::{StatusCounters, TALLY_CAPACITY};
 use crate::table::{BinaryTable, LutOp, StatusOp};
 
 /// Records one matmul's worth of arithmetic against the current obs
-/// span: `m·k·n` MACs (one mul + one add each) plus `luts_per_mac`
-/// table loads per MAC. Counts are shape-derived, so the record costs
-/// one registry update per kernel call, not per element.
-fn obs_macs(m: usize, k: usize, n: usize, luts_per_mac: u64) {
+/// span: `m·k·n` MACs (one mul + one add each), `luts_per_mac` table
+/// loads per MAC and, for a status sweep, its per-event totals. Counts
+/// are shape-derived, so the record costs one registry update per
+/// kernel call, not per element.
+fn obs_macs(m: usize, k: usize, n: usize, luts_per_mac: u64, status: Option<&StatusCounters>) {
     let macs = (m as u64)
         .saturating_mul(k as u64)
         .saturating_mul(n as u64);
@@ -24,19 +26,9 @@ fn obs_macs(m: usize, k: usize, n: usize, luts_per_mac: u64) {
         c.muls = c.muls.saturating_add(macs);
         c.adds = c.adds.saturating_add(macs);
         c.lut_hits = c.lut_hits.saturating_add(macs.saturating_mul(luts_per_mac));
-    });
-}
-
-/// [`obs_macs`] plus the per-event totals from a status sweep.
-fn obs_status(m: usize, k: usize, n: usize, luts_per_mac: u64, s: &StatusCounters) {
-    let macs = (m as u64)
-        .saturating_mul(k as u64)
-        .saturating_mul(n as u64);
-    nga_obs::record(|c| {
-        c.muls = c.muls.saturating_add(macs);
-        c.adds = c.adds.saturating_add(macs);
-        c.lut_hits = c.lut_hits.saturating_add(macs.saturating_mul(luts_per_mac));
-        s.fold_into_obs(c);
+        if let Some(s) = status {
+            s.fold_into_obs(c);
+        }
     });
 }
 
@@ -94,7 +86,7 @@ fn matmul_f32_rows(
 pub fn matmul_f32(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     check_matmul_shapes(a, b, out, m, k, n);
     let _span = nga_obs::span("matmul_f32:serial");
-    obs_macs(m, k, n, 0);
+    obs_macs(m, k, n, 0, None);
     matmul_f32_rows(a, b, out, 0..m, k, n);
 }
 
@@ -103,7 +95,7 @@ pub fn matmul_f32(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: 
 pub fn matmul_f32_parallel(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     check_matmul_shapes(a, b, out, m, k, n);
     let _span = nga_obs::span("matmul_f32:parallel");
-    obs_macs(m, k, n, 0);
+    obs_macs(m, k, n, 0, None);
     for_each_band(out, m, n, |rows, oband| {
         matmul_f32_rows(a, b, oband, rows, k, n);
     });
@@ -190,7 +182,7 @@ pub fn conv2d_f32(
     let _span = nga_obs::span("conv2d_f32");
     let (oh, ow) = im2col(input, ch, h, w, kh, kw, stride, pad, cols);
     let npix = oh * ow;
-    obs_macs(oc, kdim, npix, 0);
+    obs_macs(oc, kdim, npix, 0, None);
     out.clear();
     out.resize(oc * npix, 0.0);
     for_each_band(out.as_mut_slice(), oc, npix, |rows, oband| {
@@ -213,47 +205,143 @@ pub fn conv2d_f32(
 // 8-bit format kernels
 // ---------------------------------------------------------------------
 
-/// Table-driven dot product over format codes (ascending-index
-/// accumulation from the format's zero code `0x00`).
-#[inline]
-#[must_use]
-pub fn dot8(op: &LutOp, a: &[u8], b: &[u8]) -> u8 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = 0u8;
-    for (&x, &y) in a.iter().zip(b) {
-        acc = op.add(acc, op.mul(x, y));
-    }
-    acc
+/// One 8-bit multiply-accumulate: the op every 8-bit matmul is generic
+/// over. Status is a side channel: [`Mac8::mac`] returns the new
+/// accumulator together with the summed `Event8::spread` words of the
+/// multiply's and the add's events (zero for ops without event tables).
+pub(crate) trait Mac8: Sync {
+    /// Table loads per MAC, for the trace.
+    const LUTS_PER_MAC: u64;
+
+    /// `acc + a·b`, and the spread events the two ops raised.
+    fn mac(&self, acc: u8, a: u8, b: u8) -> (u8, u64);
 }
 
-fn matmul8_rows(
-    op: &LutOp,
+/// Decode/compute/encode through the reference scalar event ops.
+impl Mac8 for Format8 {
+    const LUTS_PER_MAC: u64 = 0;
+
+    #[inline(always)]
+    fn mac(&self, acc: u8, a: u8, b: u8) -> (u8, u64) {
+        let (p, mul_ev) = self.mul_scalar_events(a, b);
+        let (s, add_ev) = self.add_scalar_events(acc, p);
+        (s, mul_ev.spread() + add_ev.spread())
+    }
+}
+
+/// One value load per op; no events.
+impl Mac8 for LutOp {
+    const LUTS_PER_MAC: u64 = 2;
+
+    #[inline(always)]
+    fn mac(&self, acc: u8, a: u8, b: u8) -> (u8, u64) {
+        (self.add(acc, self.mul(a, b)), 0)
+    }
+}
+
+/// One value load and one event load per op.
+impl Mac8 for StatusOp {
+    const LUTS_PER_MAC: u64 = 4;
+
+    #[inline(always)]
+    fn mac(&self, acc: u8, a: u8, b: u8) -> (u8, u64) {
+        let (p, mul_ev) = self.mul(a, b);
+        let (s, add_ev) = self.add(acc, p);
+        (s, mul_ev.spread() + add_ev.spread())
+    }
+}
+
+/// Caller-supplied `(mul, add)` tables, possibly corrupted; no events.
+impl Mac8 for (&BinaryTable, &BinaryTable) {
+    const LUTS_PER_MAC: u64 = 2;
+
+    #[inline(always)]
+    fn mac(&self, acc: u8, a: u8, b: u8) -> (u8, u64) {
+        (self.1.get(acc, self.0.get(a, b)), 0)
+    }
+}
+
+/// The one 8-bit row worker: computes global rows `band` of `a·b` into
+/// `oband` (local rows). Every output starts at the zero code `0x00` and
+/// accumulates in ascending-`k` order, whatever the op or band split.
+///
+/// With `status`, events are tallied branch-free: the spread words are
+/// summed and folded into the counters after at most [`TALLY_CAPACITY`]
+/// ops, before any 9-bit lane can overflow.
+#[allow(clippy::too_many_arguments)]
+fn rows<M: Mac8>(
+    op: &M,
+    status: bool,
     a: &[u8],
     b: &[u8],
     oband: &mut [u8],
-    rows: Range<usize>,
+    band: Range<usize>,
     k: usize,
     n: usize,
-) {
-    for (li, gi) in rows.enumerate() {
+) -> StatusCounters {
+    // Two ops (mul + add) per MAC.
+    let chunk = if status { TALLY_CAPACITY / 2 } else { usize::MAX };
+    let mut counters = StatusCounters::new();
+    for (li, gi) in band.enumerate() {
         let arow = &a[gi * k..(gi + 1) * k];
         let orow = &mut oband[li * n..(li + 1) * n];
         orow.fill(0);
         for (kk, &av) in arow.iter().enumerate() {
             let brow = &b[kk * n..(kk + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o = op.add(*o, op.mul(av, bv));
+            for (ochunk, bchunk) in orow.chunks_mut(chunk).zip(brow.chunks(chunk)) {
+                let mut tally = 0u64;
+                for (o, &bv) in ochunk.iter_mut().zip(bchunk) {
+                    let (s, t) = op.mac(*o, av, bv);
+                    *o = s;
+                    tally += t;
+                }
+                if status {
+                    counters.add_tally(2 * ochunk.len() as u64, tally);
+                }
             }
         }
     }
+    counters
+}
+
+/// Every 8-bit matmul: checks the shapes, opens the trace scope `span`,
+/// runs [`rows`] serially or in row bands (merging the bands' counters,
+/// an order-independent fold) and records the MACs in the trace.
+///
+/// With `status`, the counters count one mul and one add event per MAC
+/// and are folded into the trace too; without, they are empty.
+#[allow(clippy::too_many_arguments)]
+fn run<M: Mac8>(
+    op: &M,
+    span: &'static str,
+    banded: bool,
+    status: bool,
+    a: &[u8],
+    b: &[u8],
+    out: &mut [u8],
+    m: usize,
+    k: usize,
+    n: usize,
+) -> StatusCounters {
+    check_matmul_shapes(a, b, out, m, k, n);
+    let _span = nga_obs::span(span);
+    let worker = |band, oband: &mut [u8]| rows(op, status, a, b, oband, band, k, n);
+    let counters = if banded {
+        let mut total = StatusCounters::new();
+        for s in for_each_band(out, m, n, worker) {
+            total.merge(&s);
+        }
+        total
+    } else {
+        worker(0..m, out)
+    };
+    obs_macs(m, k, n, M::LUTS_PER_MAC, status.then_some(&counters));
+    counters
 }
 
 /// Serial table-driven matrix multiply over format codes.
 pub fn matmul8(op: &LutOp, a: &[u8], b: &[u8], out: &mut [u8], m: usize, k: usize, n: usize) {
-    check_matmul_shapes(a, b, out, m, k, n);
-    let _span = nga_obs::span("matmul8:table");
-    obs_macs(m, k, n, 2);
-    matmul8_rows(op, a, b, out, 0..m, k, n);
+    run(op, "matmul8:table", false, false, a, b, out, m, k, n);
 }
 
 /// Row-banded parallel table-driven matmul; bit-for-bit equal to
@@ -267,12 +355,7 @@ pub fn matmul8_parallel(
     k: usize,
     n: usize,
 ) {
-    check_matmul_shapes(a, b, out, m, k, n);
-    let _span = nga_obs::span("matmul8:parallel");
-    obs_macs(m, k, n, 2);
-    for_each_band(out, m, n, |rows, oband| {
-        matmul8_rows(op, a, b, oband, rows, k, n);
-    });
+    run(op, "matmul8:parallel", true, false, a, b, out, m, k, n);
 }
 
 /// Reference matmul through the decode→compute→encode scalar ops (the
@@ -287,20 +370,7 @@ pub fn matmul8_scalar(
     k: usize,
     n: usize,
 ) {
-    check_matmul_shapes(a, b, out, m, k, n);
-    let _span = nga_obs::span("matmul8:scalar");
-    obs_macs(m, k, n, 0);
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        orow.fill(0);
-        for (kk, &av) in arow.iter().enumerate() {
-            let brow = &b[kk * n..(kk + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o = fmt.add_scalar_events(*o, fmt.mul_scalar_events(av, bv).0).0;
-            }
-        }
-    }
+    run(&fmt, "matmul8:scalar", false, false, a, b, out, m, k, n);
 }
 
 /// Serial matmul over raw `u8 × u8 → u8` tables supplied by the caller
@@ -318,207 +388,64 @@ pub fn matmul8_tables(
     k: usize,
     n: usize,
 ) {
-    check_matmul_shapes(a, b, out, m, k, n);
-    let _span = nga_obs::span("matmul8:tables");
-    obs_macs(m, k, n, 2);
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        orow.fill(0);
-        for (kk, &av) in arow.iter().enumerate() {
-            let brow = &b[kk * n..(kk + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o = add.get(*o, mul.get(av, bv));
-            }
+    run(&(mul, add), "matmul8:tables", false, false, a, b, out, m, k, n);
+}
+
+/// Status-reporting matmul on `tier`: the codes of the status-free
+/// matmuls plus counters recording one mul and one add event per MAC.
+/// The event tables are seeded from the scalar event ops, so codes and
+/// counters are identical on every tier.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn matmul8_status(
+    tier: KernelTier,
+    fmt: Format8,
+    a: &[u8],
+    b: &[u8],
+    out: &mut [u8],
+    m: usize,
+    k: usize,
+    n: usize,
+) -> StatusCounters {
+    match tier {
+        KernelTier::Scalar => run(&fmt, "matmul8:scalar", false, true, a, b, out, m, k, n),
+        KernelTier::Table => {
+            run(&StatusOp::new(fmt), "matmul8:table", false, true, a, b, out, m, k, n)
+        }
+        KernelTier::Parallel => {
+            run(&StatusOp::new(fmt), "matmul8:parallel", true, true, a, b, out, m, k, n)
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Status-reporting 8-bit kernels
-// ---------------------------------------------------------------------
-
-/// The status row worker shared by the table and parallel tiers: same
-/// accumulation order as [`matmul8_rows`], counting one mul and one add
-/// event per MAC.
-///
-/// Events are tallied branch-free: each op's event byte is spread into a
-/// lane-packed word (`Event8::spread`) and summed, and the word is folded
-/// into the counters after at most [`TALLY_CAPACITY`] ops, before any
-/// 9-bit lane can overflow.
-fn matmul8_status_rows(
-    op: &StatusOp,
-    a: &[u8],
-    b: &[u8],
-    oband: &mut [u8],
-    rows: Range<usize>,
-    k: usize,
-    n: usize,
-) -> StatusCounters {
-    // Two ops (mul + add) per MAC.
-    const MACS_PER_TALLY: usize = TALLY_CAPACITY / 2;
-    let mut counters = StatusCounters::new();
-    for (li, gi) in rows.enumerate() {
-        let arow = &a[gi * k..(gi + 1) * k];
-        let orow = &mut oband[li * n..(li + 1) * n];
-        orow.fill(0);
-        for (kk, &av) in arow.iter().enumerate() {
-            let brow = &b[kk * n..(kk + 1) * n];
-            for (ochunk, bchunk) in orow
-                .chunks_mut(MACS_PER_TALLY)
-                .zip(brow.chunks(MACS_PER_TALLY))
-            {
-                let mut tally = 0u64;
-                for (o, &bv) in ochunk.iter_mut().zip(bchunk) {
-                    let (p, mul_ev) = op.mul(av, bv);
-                    let (s, add_ev) = op.add(*o, p);
-                    tally += mul_ev.spread() + add_ev.spread();
-                    *o = s;
-                }
-                counters.add_tally(2 * ochunk.len() as u64, tally);
-            }
-        }
-    }
-    counters
-}
-
-/// Status-reporting reference matmul through the scalar event ops.
-/// Output codes equal [`matmul8_scalar`]; the returned counters record
-/// one mul and one add event per MAC.
-pub(crate) fn status_scalar(
-    fmt: Format8,
-    a: &[u8],
-    b: &[u8],
-    out: &mut [u8],
-    m: usize,
-    k: usize,
-    n: usize,
-) -> StatusCounters {
-    check_matmul_shapes(a, b, out, m, k, n);
-    let _span = nga_obs::span("matmul8:scalar");
-    let mut counters = StatusCounters::new();
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        orow.fill(0);
-        for (kk, &av) in arow.iter().enumerate() {
-            let brow = &b[kk * n..(kk + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                let (p, mul_ev) = fmt.mul_scalar_events(av, bv);
-                counters.record(mul_ev);
-                let (s, add_ev) = fmt.add_scalar_events(*o, p);
-                counters.record(add_ev);
-                *o = s;
-            }
-        }
-    }
-    obs_status(m, k, n, 0, &counters);
-    counters
-}
-
-/// Status-reporting serial table matmul. Because the event tables are
-/// seeded from the scalar event ops, both the output codes and the
-/// counters are identical to [`status_scalar`].
-pub(crate) fn status_table(
-    fmt: Format8,
-    a: &[u8],
-    b: &[u8],
-    out: &mut [u8],
-    m: usize,
-    k: usize,
-    n: usize,
-) -> StatusCounters {
-    check_matmul_shapes(a, b, out, m, k, n);
-    let _span = nga_obs::span("matmul8:table");
-    // One value load + one event load per op, two ops per MAC.
-    let counters = matmul8_status_rows(&StatusOp::new(fmt), a, b, out, 0..m, k, n);
-    obs_status(m, k, n, 4, &counters);
-    counters
-}
-
-/// Status-reporting row-banded parallel table matmul. Output codes and
-/// counters are identical to the serial tiers: each band's counters are
-/// accumulated independently and merged with saturating sums, which are
-/// order-independent.
-pub(crate) fn status_parallel(
-    fmt: Format8,
-    a: &[u8],
-    b: &[u8],
-    out: &mut [u8],
-    m: usize,
-    k: usize,
-    n: usize,
-) -> StatusCounters {
-    check_matmul_shapes(a, b, out, m, k, n);
-    let _span = nga_obs::span("matmul8:parallel");
-    let op = StatusOp::new(fmt);
-    let mut total = StatusCounters::new();
-    for band in for_each_band(out, m, n, |rows, oband| {
-        matmul8_status_rows(&op, a, b, oband, rows, k, n)
-    }) {
-        total.merge(&band);
-    }
-    obs_status(m, k, n, 4, &total);
-    total
-}
-
-/// Status-reporting reference matmul through the scalar event ops.
-#[allow(clippy::too_many_arguments)]
-#[deprecated(
-    since = "0.1.0",
-    note = "use `ArithCtx::with_tier(KernelTier::Scalar)` and `ArithCtx::matmul8`"
-)]
-pub fn matmul8_status_scalar(
-    fmt: Format8,
-    a: &[u8],
-    b: &[u8],
-    out: &mut [u8],
-    m: usize,
-    k: usize,
-    n: usize,
-) -> StatusCounters {
-    status_scalar(fmt, a, b, out, m, k, n)
-}
-
-/// Status-reporting serial table matmul.
-#[allow(clippy::too_many_arguments)]
-#[deprecated(
-    since = "0.1.0",
-    note = "use `ArithCtx::with_tier(KernelTier::Table)` and `ArithCtx::matmul8`"
-)]
-pub fn matmul8_status_table(
-    fmt: Format8,
-    a: &[u8],
-    b: &[u8],
-    out: &mut [u8],
-    m: usize,
-    k: usize,
-    n: usize,
-) -> StatusCounters {
-    status_table(fmt, a, b, out, m, k, n)
-}
-
-/// Status-reporting row-banded parallel table matmul.
-#[allow(clippy::too_many_arguments)]
-#[deprecated(
-    since = "0.1.0",
-    note = "use `ArithCtx::with_tier(KernelTier::Parallel)` and `ArithCtx::matmul8`"
-)]
-pub fn matmul8_status_parallel(
-    fmt: Format8,
-    a: &[u8],
-    b: &[u8],
-    out: &mut [u8],
-    m: usize,
-    k: usize,
-    n: usize,
-) -> StatusCounters {
-    status_parallel(fmt, a, b, out, m, k, n)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Naive reference for every 8-bit matmul: per output element, in
+    /// ascending `k`, through the scalar event ops, recording every op.
+    /// Shares no loop with [`rows`].
+    pub(crate) fn naive_matmul8(
+        fmt: Format8,
+        a: &[u8],
+        b: &[u8],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) -> (Vec<u8>, StatusCounters) {
+        let mut counters = StatusCounters::new();
+        let mut out = vec![0u8; m * n];
+        for (idx, o) in out.iter_mut().enumerate() {
+            let (i, j) = (idx / n, idx % n);
+            for kk in 0..k {
+                let (p, mul_ev) = fmt.mul_scalar_events(a[i * k + kk], b[kk * n + j]);
+                counters.record(mul_ev);
+                let (acc, add_ev) = fmt.add_scalar_events(*o, p);
+                counters.record(add_ev);
+                *o = acc;
+            }
+        }
+        (out, counters)
+    }
 
     fn seq(n: usize, scale: f32) -> Vec<f32> {
         (0..n).map(|i| (i as f32).mul_add(scale, -1.0)).collect()
@@ -593,20 +520,36 @@ mod tests {
     }
 
     #[test]
-    fn matmul8_all_tiers_agree() {
+    fn every_8bit_entry_point_matches_the_naive_reference() {
+        let (m, k, n) = (6, 5, 7);
+        let a: Vec<u8> = (0..m * k).map(|i| (i * 37 + 11) as u8).collect();
+        let b: Vec<u8> = (0..k * n).map(|i| (i * 91 + 3) as u8).collect();
         for fmt in Format8::ALL {
+            let (want, want_s) = naive_matmul8(fmt, &a, &b, m, k, n);
             let op = LutOp::new(fmt);
-            let (m, k, n) = (6, 5, 7);
-            let a: Vec<u8> = (0..m * k).map(|i| (i * 37 + 11) as u8).collect();
-            let b: Vec<u8> = (0..k * n).map(|i| (i * 91 + 3) as u8).collect();
-            let mut scalar = vec![0u8; m * n];
-            let mut table = vec![0u8; m * n];
-            let mut par = vec![0u8; m * n];
-            matmul8_scalar(fmt, &a, &b, &mut scalar, m, k, n);
-            matmul8(&op, &a, &b, &mut table, m, k, n);
-            matmul8_parallel(&op, &a, &b, &mut par, m, k, n);
-            assert_eq!(scalar, table, "{}: table ≡ scalar", fmt.id());
-            assert_eq!(table, par, "{}: parallel ≡ table", fmt.id());
+            let mut out = vec![0u8; m * n];
+            matmul8_scalar(fmt, &a, &b, &mut out, m, k, n);
+            assert_eq!(out, want, "{}: scalar", fmt.id());
+            matmul8(&op, &a, &b, &mut out, m, k, n);
+            assert_eq!(out, want, "{}: table", fmt.id());
+            matmul8_parallel(&op, &a, &b, &mut out, m, k, n);
+            assert_eq!(out, want, "{}: parallel", fmt.id());
+            matmul8_tables(
+                crate::mul_table(fmt),
+                crate::add_table(fmt),
+                &a,
+                &b,
+                &mut out,
+                m,
+                k,
+                n,
+            );
+            assert_eq!(out, want, "{}: tables", fmt.id());
+            for tier in KernelTier::ALL {
+                let s = matmul8_status(tier, fmt, &a, &b, &mut out, m, k, n);
+                assert_eq!(out, want, "{} {tier}: status codes", fmt.id());
+                assert_eq!(s, want_s, "{} {tier}: status counters", fmt.id());
+            }
         }
     }
 }

@@ -1,15 +1,14 @@
 //! The table tier's correctness contract: for every 8-bit format, the
 //! 64 KiB lookup tables agree with the bit-exact scalar ops on **all**
 //! 65 536 input pairs (including NaR, NaN, infinities and both zeros),
-//! and the parallel tensor kernels agree with the serial ones
-//! bit-for-bit on random shapes.
+//! and every kernel tier agrees bit-for-bit with a naive reference on
+//! random shapes, including shapes large enough to run in row bands.
 
-// The deprecated convenience shims are part of the pinned surface here.
-#![allow(deprecated)]
+mod common;
 
+use common::naive_matmul8;
 use nga_kernels::{
-    add_table, matmul8, matmul8_parallel, matmul8_scalar, matmul_f32, matmul_f32_parallel,
-    mul_table, Format8, Kernel, LutOp, ParallelKernel, ScalarKernel, TableKernel,
+    add_table, matmul_f32, matmul_f32_parallel, mul_table, ArithCtx, Format8, KernelTier, LutOp,
 };
 use proptest::prelude::*;
 
@@ -33,7 +32,7 @@ fn exhaustive_for(fmt: Format8) {
         for b in 0..=255u8 {
             assert_eq!(
                 mul.get(a, b),
-                fmt.mul_scalar(a, b),
+                fmt.mul_scalar_events(a, b).0,
                 "{} mul {a:#04x}{} × {b:#04x}{}",
                 fmt.id(),
                 label(fmt, a),
@@ -41,7 +40,7 @@ fn exhaustive_for(fmt: Format8) {
             );
             assert_eq!(
                 add.get(a, b),
-                fmt.add_scalar(a, b),
+                fmt.add_scalar_events(a, b).0,
                 "{} add {a:#04x}{} + {b:#04x}{}",
                 fmt.id(),
                 label(fmt, a),
@@ -84,11 +83,10 @@ fn nar_is_absorbing_for_posit8_ops() {
 }
 
 #[test]
-fn kernel_trait_tiers_match_scalar_reference_on_every_format() {
-    // Every `impl Kernel` must be equivalent to the scalar reference on
-    // both domains — nga-lint's kernel-consistency rule checks that each
-    // tier is named here.
-    let tiers: [&dyn Kernel; 3] = [&ScalarKernel, &TableKernel, &ParallelKernel];
+fn kernel_tiers_match_scalar_reference_on_every_format() {
+    // Every tier in `KernelTier::ALL` must be equivalent to the scalar
+    // reference on both domains — nga-lint's kernel-consistency rule
+    // checks that this suite names `KernelTier::ALL`.
     let (m, k, n) = (7, 9, 5);
     let af: Vec<f32> = (0..m * k).map(|i| i as f32 * 0.03 - 0.4).collect();
     let bf: Vec<f32> = (0..k * n).map(|i| 0.7 - i as f32 * 0.02).collect();
@@ -96,21 +94,27 @@ fn kernel_trait_tiers_match_scalar_reference_on_every_format() {
     let a8: Vec<u8> = (0..m * k).map(|i| (i * 41 + 3) as u8).collect();
     let b8: Vec<u8> = (0..k * n).map(|i| (i * 97 + 128) as u8).collect();
     let mut f32_ref = vec![0.0f32; m * n];
-    tiers[0].matmul_f32(&af, &bf, &mut f32_ref, m, k, n);
+    KernelTier::Scalar.matmul_f32(&af, &bf, &mut f32_ref, m, k, n);
+    let refb: Vec<u32> = f32_ref.iter().map(|v| v.to_bits()).collect();
     for fmt in Format8::ALL {
-        let mut u8_ref = vec![0u8; m * n];
-        tiers[0].matmul8(fmt, &a8, &b8, &mut u8_ref, m, k, n);
-        for tier in &tiers[1..] {
+        let (u8_ref, _) = naive_matmul8(fmt, &a8, &b8, m, k, n);
+        for tier in KernelTier::ALL {
             let mut f = vec![0.0f32; m * n];
             let mut u = vec![0u8; m * n];
             tier.matmul_f32(&af, &bf, &mut f, m, k, n);
             tier.matmul8(fmt, &a8, &b8, &mut u, m, k, n);
-            let refb: Vec<u32> = f32_ref.iter().map(|v| v.to_bits()).collect();
             let fb: Vec<u32> = f.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(fb, refb, "{} f32 ≡ scalar", tier.name());
-            assert_eq!(u, u8_ref, "{} {} ≡ scalar", tier.name(), fmt.id());
+            assert_eq!(fb, refb, "{tier} f32 ≡ scalar");
+            assert_eq!(u, u8_ref, "{tier} {} ≡ naive", fmt.id());
         }
     }
+}
+
+/// Shapes `(m, k, n)`: half small, half with `m·n ≥ 16 384` so the
+/// parallel tier really splits rows across threads, and `k·n > 511` so a
+/// status sweep folds its event tally more than once per row.
+fn shapes() -> impl Strategy<Value = (usize, usize, usize)> {
+    prop_oneof![(1usize..24, 1usize..16, 1usize..24), (16usize..24, 1usize..4, 1024usize..1100)]
 }
 
 proptest! {
@@ -118,9 +122,7 @@ proptest! {
 
     #[test]
     fn parallel_f32_matmul_is_bit_identical_to_serial(
-        m in 1usize..40,
-        k in 1usize..24,
-        n in 1usize..40,
+        (m, k, n) in shapes(),
         seed in 0u64..1_000_000,
     ) {
         let mut state = seed;
@@ -140,14 +142,11 @@ proptest! {
     }
 
     #[test]
-    fn parallel_matmul8_matches_serial_and_scalar(
-        m in 1usize..24,
-        k in 1usize..16,
-        n in 1usize..24,
+    fn every_tier_matches_the_naive_reference(
+        (m, k, n) in shapes(),
         seed in 0u64..1_000_000,
     ) {
         for fmt in Format8::ALL {
-            let op = LutOp::new(fmt);
             let mut state = seed ^ (fmt as u64);
             let mut next = move || {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -155,14 +154,16 @@ proptest! {
             };
             let a: Vec<u8> = (0..m * k).map(|_| next()).collect();
             let b: Vec<u8> = (0..k * n).map(|_| next()).collect();
-            let mut scalar = vec![0u8; m * n];
-            let mut serial = vec![0u8; m * n];
-            let mut par = vec![0u8; m * n];
-            matmul8_scalar(fmt, &a, &b, &mut scalar, m, k, n);
-            matmul8(&op, &a, &b, &mut serial, m, k, n);
-            matmul8_parallel(&op, &a, &b, &mut par, m, k, n);
-            prop_assert_eq!(&scalar, &serial, "{} table ≡ scalar", fmt.id());
-            prop_assert_eq!(&serial, &par, "{} parallel ≡ serial", fmt.id());
+            let (want, want_s) = naive_matmul8(fmt, &a, &b, m, k, n);
+            for tier in KernelTier::ALL {
+                let mut out = vec![0u8; m * n];
+                tier.matmul8(fmt, &a, &b, &mut out, m, k, n);
+                prop_assert_eq!(&out, &want, "{} {} codes", fmt.id(), tier);
+                let mut ctx = ArithCtx::labeled("equivalence").with_tier(tier);
+                let s = ctx.matmul8(fmt, &a, &b, &mut out, m, k, n);
+                prop_assert_eq!(&out, &want, "{} {} ctx codes", fmt.id(), tier);
+                prop_assert_eq!(s, want_s, "{} {} ctx counters", fmt.id(), tier);
+            }
         }
     }
 }

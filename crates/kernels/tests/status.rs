@@ -2,13 +2,12 @@
 //! byte-identical output codes *and* identical event counters, and table
 //! checksums must catch injected corruption.
 
-// The deprecated convenience shims are part of the pinned surface here.
-#![allow(deprecated)]
+mod common;
 
+use common::naive_matmul8;
 use nga_kernels::{
-    matmul8_scalar, matmul8_status_parallel, matmul8_status_scalar, matmul8_status_table,
-    matmul8_tables, mul_table, ArithCtx, BinaryTable, Event8, Format8, Kernel, KernelTier,
-    ParallelKernel, ScalarKernel, StatusCounters, StatusOp, TableKernel,
+    matmul8_scalar, matmul8_tables, mul_table, ArithCtx, BinaryTable, Event8, Format8, KernelTier,
+    StatusCounters, StatusOp,
 };
 
 /// Exhaustive 8-bit sweep: the event tables must agree with the scalar
@@ -40,20 +39,6 @@ fn event_tables_match_scalar_exhaustively() {
     }
 }
 
-/// Plain and status scalar ops must produce the same value codes
-/// (the status path is the plain path plus event extraction).
-#[test]
-fn status_value_equals_plain_value_exhaustively() {
-    for fmt in Format8::ALL {
-        for a in 0..=255u8 {
-            for b in 0..=255u8 {
-                assert_eq!(fmt.mul_scalar(a, b), fmt.mul_scalar_events(a, b).0);
-                assert_eq!(fmt.add_scalar(a, b), fmt.add_scalar_events(a, b).0);
-            }
-        }
-    }
-}
-
 #[test]
 fn status_counters_agree_across_tiers() {
     // Large enough that the parallel tier actually spawns bands
@@ -62,37 +47,20 @@ fn status_counters_agree_across_tiers() {
     for fmt in Format8::ALL {
         let a: Vec<u8> = (0..m * k).map(|i| (i * 37 + 11) as u8).collect();
         let b: Vec<u8> = (0..k * n).map(|i| (i * 91 + 3) as u8).collect();
-        let mut out_s = vec![0u8; m * n];
-        let mut out_t = vec![0u8; m * n];
-        let mut out_p = vec![0u8; m * n];
-        let cs = matmul8_status_scalar(fmt, &a, &b, &mut out_s, m, k, n);
-        let ct = matmul8_status_table(fmt, &a, &b, &mut out_t, m, k, n);
-        let cp = matmul8_status_parallel(fmt, &a, &b, &mut out_p, m, k, n);
-        assert_eq!(out_s, out_t, "{}: table codes ≡ scalar", fmt.id());
-        assert_eq!(out_t, out_p, "{}: parallel codes ≡ table", fmt.id());
-        assert_eq!(cs, ct, "{}: table counters ≡ scalar", fmt.id());
-        assert_eq!(ct, cp, "{}: parallel counters ≡ table", fmt.id());
-        assert_eq!(cs.ops(), 2 * (m * k * n) as u64, "one mul + one add per MAC");
-        // The status path must not perturb the value path.
-        let mut plain = vec![0u8; m * n];
-        matmul8_scalar(fmt, &a, &b, &mut plain, m, k, n);
-        assert_eq!(plain, out_s, "{}: status output ≡ plain output", fmt.id());
-    }
-}
-
-#[test]
-fn kernel_trait_status_matches_free_functions() {
-    let kernels: [&dyn Kernel; 3] = [&ScalarKernel, &TableKernel, &ParallelKernel];
-    let (m, k, n) = (7, 9, 8);
-    let a: Vec<u8> = (0..m * k).map(|i| (i * 53 + 7) as u8).collect();
-    let b: Vec<u8> = (0..k * n).map(|i| (i * 29 + 1) as u8).collect();
-    let mut want_out = vec![0u8; m * n];
-    let want = matmul8_status_scalar(Format8::Posit8, &a, &b, &mut want_out, m, k, n);
-    for kr in kernels {
-        let mut out = vec![0u8; m * n];
-        let got = kr.matmul8_status(Format8::Posit8, &a, &b, &mut out, m, k, n);
-        assert_eq!(out, want_out, "{} codes", kr.name());
-        assert_eq!(got, want, "{} counters", kr.name());
+        let (want, want_s) = naive_matmul8(fmt, &a, &b, m, k, n);
+        assert_eq!(want_s.ops(), 2 * (m * k * n) as u64, "one mul + one add per MAC");
+        for tier in KernelTier::ALL {
+            let mut out = vec![0u8; m * n];
+            let s = ArithCtx::labeled("status-test-tiers")
+                .with_tier(tier)
+                .matmul8(fmt, &a, &b, &mut out, m, k, n);
+            assert_eq!(out, want, "{} {tier}: codes ≡ naive", fmt.id());
+            assert_eq!(s, want_s, "{} {tier}: counters ≡ naive", fmt.id());
+            // The status path must not perturb the value path.
+            let mut plain = vec![0u8; m * n];
+            tier.matmul8(fmt, &a, &b, &mut plain, m, k, n);
+            assert_eq!(plain, out, "{} {tier}: status output ≡ plain output", fmt.id());
+        }
     }
 }
 
@@ -113,7 +81,7 @@ fn posit8_counters_see_saturation_and_inexactness() {
 #[test]
 fn checksum_catches_injected_corruption() {
     let fmt = Format8::E4m3;
-    let mut table = BinaryTable::build(|a, b| fmt.mul_scalar(a, b));
+    let mut table = BinaryTable::build(|a, b| fmt.mul_scalar_events(a, b).0);
     assert!(table.verify(), "freshly built table verifies");
     assert_eq!(
         table.checksum(),
@@ -130,8 +98,8 @@ fn checksum_catches_injected_corruption() {
 #[test]
 fn corrupted_table_changes_matmul_output() {
     let fmt = Format8::Posit8;
-    let mut mul = BinaryTable::build(|a, b| fmt.mul_scalar(a, b));
-    let add = BinaryTable::build(|a, b| fmt.add_scalar(a, b));
+    let mut mul = BinaryTable::build(|a, b| fmt.mul_scalar_events(a, b).0);
+    let add = BinaryTable::build(|a, b| fmt.add_scalar_events(a, b).0);
     let (m, k, n) = (4, 4, 4);
     let a: Vec<u8> = (0..m * k).map(|i| (i * 17 + 0x38) as u8).collect();
     let b: Vec<u8> = (0..k * n).map(|i| (i * 13 + 0x42) as u8).collect();

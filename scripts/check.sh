@@ -10,9 +10,13 @@ cargo build --release
 # tests run at once fails one of the two.
 cargo test -q --workspace
 cargo test -q --workspace -- --test-threads=1
-# The recording-off build: nga-obs and nga-nn (doctests included) must
-# pass with every trace entry point compiled to a no-op.
-cargo test -q -p nga-obs -p nga-nn --features nga-obs/obs-off,nga-nn/obs-off
+# The recording-off build: nga-obs, nga-kernels and nga-nn (doctests
+# included) must pass with every trace entry point compiled to a no-op.
+cargo test -q -p nga-obs -p nga-kernels -p nga-nn \
+    --features nga-obs/obs-off,nga-kernels/obs-off,nga-nn/obs-off
+# API docs build warning-free, so an intra-doc link to a removed or
+# renamed item fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline -q --workspace --no-deps
 # The benchmark harness's smoke tests run every workload at a tiny size
 # and check each item bit for bit, so a library change that breaks them
 # fails here, not only when the benchmark runs.

@@ -123,14 +123,13 @@ fn ftz_flushes_subnormal_inputs_before_the_operation() {
 /// sample of codes — a cheap standing version of `tiers8/*` sweeps.
 #[test]
 fn kernel_tiers_match_oracle_composition_on_boundary_codes() {
-    use nga_kernels::{Format8, Kernel, ParallelKernel, ScalarKernel, TableKernel};
+    use nga_kernels::{Format8, KernelTier};
     let codes: Vec<u8> = (0u8..=255).step_by(17).chain([0x7F, 0x80, 0x81, 0xFF]).collect();
-    let kernels: [&dyn Kernel; 3] = [&ScalarKernel, &TableKernel, &ParallelKernel];
     for fmt in Format8::ALL {
-        for kernel in kernels {
+        for tier in KernelTier::ALL {
             let n = codes.len();
             let mut out = vec![0u8; n * n];
-            kernel.matmul8(fmt, &codes, &codes, &mut out, n, 1, n);
+            tier.matmul8(fmt, &codes, &codes, &mut out, n, 1, n);
             for (idx, &got) in out.iter().enumerate() {
                 let (a, b) = (codes[idx / n], codes[idx % n]);
                 let want = fmt.add_scalar_events(0, fmt.mul_scalar_events(a, b).0).0;

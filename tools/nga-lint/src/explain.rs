@@ -45,9 +45,10 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             "kernel-consistency (R4)\n\
              =======================\n\
              Cross-file structural checks for the kernels crate:\n\
-             * every `impl Kernel for T` must appear in the `NGA_KERNEL` dispatch\n\
-               function and in the equivalence-test suite (an unregistered or untested\n\
-               tier is a silent correctness hole);\n\
+             * `KernelTier::ALL` must list every tier variant, and the equivalence-test\n\
+               suite must name `KernelTier::ALL` or each variant (an untested tier is a\n\
+               silent correctness hole; the compiler already checks that every dispatch\n\
+               `match` covers each variant);\n\
              * per-format LUT cache arrays (`[OnceLock<…>; N]`) must have exactly one\n\
                slot per `Format8` variant, matching `Format8::ALL`;\n\
              * LUT entry arrays must hold `(1 << code_bits)²` entries — the exhaustive\n\

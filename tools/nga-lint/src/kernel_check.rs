@@ -1,15 +1,14 @@
 //! R4 `kernel-consistency`: cross-file structural checks tying the
 //! kernels crate together.
 //!
-//! * Every `impl Kernel for T` in the kernels crate must be reachable
-//!   from the `NGA_KERNEL` dispatch function and exercised by the
-//!   equivalence-test suite.
+//! * `KernelTier::ALL` must list every tier variant (the compiler already
+//!   checks that each dispatch `match` covers them all), and the
+//!   equivalence-test suite must name `KernelTier::ALL` or each variant.
 //! * The per-format LUT cache arrays must have one slot per `Format8`
 //!   variant (and match the `ALL` constant's declared length).
 //! * LUT entry counts must equal `(1 << code_bits)²` — the exhaustive
 //!   table size implied by the 8-bit format width.
 
-use std::collections::BTreeSet;
 use std::path::Path;
 
 use crate::config::RulePolicy;
@@ -44,77 +43,8 @@ fn read_lexed(root: &Path, rel: &str, out: &mut Vec<Finding>) -> Option<Lexed> {
     }
 }
 
-/// `impl Kernel for T` occurrences: `(type name, line)`.
-fn kernel_impls(lexed: &Lexed, trait_name: &str) -> Vec<(String, usize)> {
-    let toks = &lexed.toks;
-    let mut found = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        if !is_ident(toks.get(i), "impl") {
-            i += 1;
-            continue;
-        }
-        let mut j = i + 1;
-        // Skip generic parameters: `impl<T: …>`.
-        if is_punct(toks.get(j), b'<') {
-            let mut depth = 0usize;
-            while j < toks.len() {
-                match toks[j].kind {
-                    TokKind::Punct(b'<') => depth += 1,
-                    TokKind::Punct(b'>') => {
-                        depth -= 1;
-                        if depth == 0 {
-                            j += 1;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-        }
-        if is_ident(toks.get(j), trait_name) && is_ident(toks.get(j + 1), "for") {
-            if let Some(t) = toks.get(j + 2) {
-                if t.kind == TokKind::Ident {
-                    found.push((t.text.clone(), t.line));
-                }
-            }
-        }
-        i = j + 1;
-    }
-    found
-}
-
-/// The set of identifiers inside the body of `fn <name>`.
-fn fn_body_idents(lexed: &Lexed, name: &str) -> Option<BTreeSet<String>> {
-    let toks = &lexed.toks;
-    let start = toks
-        .iter()
-        .enumerate()
-        .find(|(i, t)| is_ident(Some(t), "fn") && is_ident(toks.get(i + 1), name))
-        .map(|(i, _)| i)?;
-    let mut depth = 0usize;
-    let mut idents = BTreeSet::new();
-    for t in &toks[start..] {
-        match &t.kind {
-            TokKind::Punct(b'{') => depth += 1,
-            TokKind::Punct(b'}') => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(idents);
-                }
-            }
-            TokKind::Ident if depth > 0 => {
-                idents.insert(t.text.clone());
-            }
-            _ => {}
-        }
-    }
-    Some(idents)
-}
-
-/// Counts the variants of `enum <name> { … }`.
-fn enum_variant_count(lexed: &Lexed, name: &str) -> Option<usize> {
+/// The variant names of `enum <name> { … }`.
+fn enum_variants(lexed: &Lexed, name: &str) -> Option<Vec<String>> {
     let toks = &lexed.toks;
     let start = toks
         .iter()
@@ -122,20 +52,20 @@ fn enum_variant_count(lexed: &Lexed, name: &str) -> Option<usize> {
         .find(|(i, t)| is_ident(Some(t), "enum") && is_ident(toks.get(i + 1), name))
         .map(|(i, _)| i)?;
     let mut depth = 0usize;
-    let mut count = 0usize;
+    let mut variants = Vec::new();
     for (k, t) in toks.iter().enumerate().skip(start) {
         match t.kind {
             TokKind::Punct(b'{') => depth += 1,
             TokKind::Punct(b'}') => {
                 if depth == 1 {
-                    return Some(count);
+                    return Some(variants);
                 }
                 depth -= 1;
             }
             TokKind::Ident if depth == 1 => {
                 let prev = toks.get(k.wrapping_sub(1));
                 if is_punct(prev, b'{') || is_punct(prev, b',') {
-                    count += 1;
+                    variants.push(t.text.clone());
                 }
             }
             _ => {}
@@ -160,6 +90,32 @@ fn all_len(lexed: &Lexed) -> Option<(usize, u128)> {
             None
         }
     })
+}
+
+/// Checks that `<enum_name>::ALL` in `file` declares one entry per
+/// variant of the enum; returns the variants.
+fn check_all_len(
+    root: &Path,
+    file: &str,
+    enum_name: &str,
+    out: &mut Vec<Finding>,
+) -> Option<Vec<String>> {
+    let lexed = read_lexed(root, file, out)?;
+    let Some(variants) = enum_variants(&lexed, enum_name) else {
+        out.push(finding(file, 0, format!("enum `{enum_name}` not found")));
+        return None;
+    };
+    let n = variants.len();
+    match all_len(&lexed) {
+        Some((line, len)) if len != n as u128 => out.push(finding(
+            file,
+            line,
+            format!("`{enum_name}::ALL` declares {len} entries but the enum has {n} variants"),
+        )),
+        Some(_) => {}
+        None => out.push(finding(file, 0, format!("`{enum_name}::ALL` not found"))),
+    }
+    Some(variants)
 }
 
 /// Array-length literals for `[<elem>; N]` where `elem` is an identifier
@@ -205,106 +161,53 @@ fn sized_arrays(lexed: &Lexed, elems: &[&str]) -> Vec<(usize, String, u128)> {
     out
 }
 
+/// The tier enum: its `ALL` constant is what the equivalence suite and
+/// the benchmarks iterate.
+const TIER_ENUM: &str = "KernelTier";
+
 /// Runs the whole R4 suite as configured by `[rules.kernel-consistency]`.
 pub fn run(root: &Path, policy: &RulePolicy, out: &mut Vec<Finding>) {
-    let Some(kernels_src) = policy.string("kernels_src") else {
+    let Some(dispatch_file) = policy.string("dispatch_file") else {
         return; // rule not configured
     };
-    let dispatch_file = policy.string("dispatch_file").unwrap_or_default();
-    let dispatch_fn = policy.string("dispatch_fn").unwrap_or("default_kernel");
-    let trait_name = policy.string("kernel_trait").unwrap_or("Kernel");
     let equivalence = policy.string("equivalence_tests").unwrap_or_default();
     let code_bits = policy.int("code_bits").unwrap_or(8) as u32;
 
-    // 1. Collect `impl Kernel for T` across the kernels crate sources.
-    let mut impls: Vec<(String, String, usize)> = Vec::new();
-    let mut files: Vec<String> = Vec::new();
-    collect_rs_files(root, kernels_src, &mut files);
-    files.sort();
-    for rel in &files {
-        if let Some(lexed) = read_lexed(root, rel, out) {
-            for (name, line) in kernel_impls(&lexed, trait_name) {
-                impls.push((name, rel.clone(), line));
-            }
-        }
-    }
-    if impls.is_empty() {
-        out.push(finding(
-            kernels_src,
-            0,
-            format!("no `impl {trait_name} for …` found in the kernels crate"),
-        ));
-    }
+    // 1. `KernelTier::ALL` lists every tier…
+    let tiers = check_all_len(root, dispatch_file, TIER_ENUM, out);
 
-    // 2. Each impl must be registered in the dispatch match…
-    if let Some(lexed) = read_lexed(root, dispatch_file, out) {
-        match fn_body_idents(&lexed, dispatch_fn) {
-            Some(idents) => {
-                for (name, rel, line) in &impls {
-                    if !idents.contains(name) {
-                        out.push(finding(
-                            rel,
-                            *line,
-                            format!(
-                                "`{name}` implements `{trait_name}` but is not registered in \
-                                 `{dispatch_fn}()` ({dispatch_file})"
-                            ),
-                        ));
-                    }
-                }
-            }
-            None => out.push(finding(
-                dispatch_file,
-                0,
-                format!("dispatch function `fn {dispatch_fn}` not found"),
-            )),
-        }
-    }
-
-    // 3. …and exercised by the equivalence-test suite.
-    if let Some(lexed) = read_lexed(root, equivalence, out) {
-        let idents: BTreeSet<&str> = lexed
-            .toks
-            .iter()
-            .filter(|t| t.kind == TokKind::Ident)
-            .map(|t| t.text.as_str())
+    // 2. …and the equivalence suite runs them all.
+    if let (Some(tiers), Some(lexed)) = (tiers, read_lexed(root, equivalence, out)) {
+        let toks = &lexed.toks;
+        let names_all = toks.windows(4).any(|w| {
+            is_ident(w.first(), TIER_ENUM)
+                && is_punct(w.get(1), b':')
+                && is_punct(w.get(2), b':')
+                && is_ident(w.get(3), "ALL")
+        });
+        let missing: Vec<String> = tiers
+            .into_iter()
+            .filter(|v| !toks.iter().any(|t| is_ident(Some(t), v)))
+            .map(|v| format!("`{v}`"))
             .collect();
-        for (name, rel, line) in &impls {
-            if !idents.contains(name.as_str()) {
-                out.push(finding(
-                    rel,
-                    *line,
-                    format!(
-                        "`{name}` implements `{trait_name}` but never appears in the \
-                         equivalence tests ({equivalence})"
-                    ),
-                ));
-            }
+        if !names_all && !missing.is_empty() {
+            out.push(finding(
+                equivalence,
+                0,
+                format!(
+                    "the equivalence tests name neither `{TIER_ENUM}::ALL` nor the tier(s) {}",
+                    missing.join(", ")
+                ),
+            ));
         }
     }
 
-    // 4. LUT cache arrays sized to the format enum; table sizes match
+    // 3. LUT cache arrays sized to the format enum; table sizes match
     //    the code width.
     let enum_file = policy.string("format_enum_file").unwrap_or_default();
     let enum_name = policy.string("format_enum").unwrap_or("Format8");
     let table_file = policy.string("table_file").unwrap_or_default();
-    let mut nvariants = None;
-    if let Some(lexed) = read_lexed(root, enum_file, out) {
-        nvariants = enum_variant_count(&lexed, enum_name);
-        match (nvariants, all_len(&lexed)) {
-            (None, _) => out.push(finding(
-                enum_file,
-                0,
-                format!("enum `{enum_name}` not found"),
-            )),
-            (Some(n), Some((line, len))) if len != n as u128 => out.push(finding(
-                enum_file,
-                line,
-                format!("`{enum_name}::ALL` declares {len} formats but the enum has {n} variants"),
-            )),
-            _ => {}
-        }
-    }
+    let nvariants = check_all_len(root, enum_file, enum_name, out).map(|v| v.len());
     if let Some(lexed) = read_lexed(root, table_file, out) {
         if let Some(n) = nvariants {
             let caches = sized_arrays(&lexed, &["OnceLock"]);
@@ -354,47 +257,17 @@ pub fn run(root: &Path, policy: &RulePolicy, out: &mut Vec<Finding>) {
     }
 }
 
-fn collect_rs_files(root: &Path, rel_dir: &str, out: &mut Vec<String>) {
-    let dir = root.join(rel_dir);
-    let Ok(entries) = std::fs::read_dir(&dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let rel = format!("{rel_dir}/{name}");
-        if path.is_dir() {
-            collect_rs_files(root, &rel, out);
-        } else if name.ends_with(".rs") {
-            out.push(rel);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn finds_impls_and_fn_bodies() {
-        let lexed = lex(
-            "impl Kernel for ScalarKernel { fn name(&self) -> &str { \"s\" } }\n\
-             impl<T: Clone> Kernel for Generic<T> {}\n\
-             pub fn default_kernel() -> u8 { let _ = ScalarKernel; 0 }\n",
-        );
-        let impls = kernel_impls(&lexed, "Kernel");
-        assert_eq!(impls.len(), 2);
-        assert_eq!(impls[0].0, "ScalarKernel");
-        assert_eq!(impls[1].0, "Generic");
-        let body = fn_body_idents(&lexed, "default_kernel").expect("fn found");
-        assert!(body.contains("ScalarKernel"));
-        assert!(!body.contains("Generic"));
-    }
-
-    #[test]
-    fn counts_enum_variants_with_discriminants() {
+    fn reads_enum_variants_with_discriminants() {
         let lexed = lex("pub enum Format8 { Posit8 = 0, E4m3 = 1, E5m2 = 2, Fixed8 = 3 }");
-        assert_eq!(enum_variant_count(&lexed, "Format8"), Some(4));
+        assert_eq!(
+            enum_variants(&lexed, "Format8"),
+            Some(vec!["Posit8".into(), "E4m3".into(), "E5m2".into(), "Fixed8".into()])
+        );
     }
 
     #[test]

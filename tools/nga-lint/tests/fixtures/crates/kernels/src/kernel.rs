@@ -1,25 +1,10 @@
-//! Fixture: one registered kernel tier and one rogue tier.
+//! Fixture: a tier enum whose `ALL` omits a variant.
 
-pub trait Kernel {
-    fn name(&self) -> &'static str;
+pub enum KernelTier {
+    Good,
+    Rogue,
 }
 
-pub struct GoodKernel;
-
-impl Kernel for GoodKernel {
-    fn name(&self) -> &'static str {
-        "good"
-    }
-}
-
-pub struct RogueKernel;
-
-impl Kernel for RogueKernel {
-    fn name(&self) -> &'static str {
-        "rogue"
-    }
-}
-
-pub fn default_kernel() -> &'static dyn Kernel {
-    &GoodKernel
+impl KernelTier {
+    pub const ALL: [Self; 1] = [Self::Good];
 }

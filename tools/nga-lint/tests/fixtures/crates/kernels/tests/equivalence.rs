@@ -1,6 +1,6 @@
-//! Fixture equivalence suite: exercises GoodKernel only.
+//! Fixture equivalence suite: exercises the Good tier only.
 
 #[test]
-fn good_kernel_is_exercised() {
-    let _ = GoodKernel;
+fn good_tier_is_exercised() {
+    let _ = KernelTier::Good;
 }

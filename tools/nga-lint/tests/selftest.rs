@@ -119,29 +119,20 @@ fn second_kernel_env_read_is_flagged_but_the_documented_one_is_not() {
 }
 
 #[test]
-fn unregistered_kernel_is_flagged_at_its_impl_line() {
-    // `impl Kernel for RogueKernel` sits on line 17: missing from both the
-    // dispatch fn and the equivalence suite.
-    let rogue: Vec<_> = fixture_findings()
-        .iter()
-        .filter(|f| {
-            f.rule == "kernel-consistency"
-                && f.path == "crates/kernels/src/kernel.rs"
-                && f.line == 17
-        })
-        .collect();
-    assert_eq!(
-        rogue.len(),
-        2,
-        "RogueKernel must be flagged for dispatch and tests: {rogue:?}"
-    );
-    assert!(rogue.iter().all(|f| f.message.contains("RogueKernel")));
+fn tier_all_omitting_a_variant_is_flagged() {
+    // `KernelTier::ALL` on line 9 lists `Good` but not `Rogue`.
+    assert_fires("kernel-consistency", "crates/kernels/src/kernel.rs", 9);
+    // The fixture suite names `Good` but neither `KernelTier::ALL` nor
+    // `Rogue`.
     assert!(
-        !fixture_findings()
-            .iter()
-            .any(|f| f.message.contains("GoodKernel")),
-        "registered kernel must not be flagged"
+        fixture_findings().iter().any(|f| f.rule == "kernel-consistency"
+            && f.path == "crates/kernels/tests/equivalence.rs"
+            && f.message.contains("`Rogue`")
+            && !f.message.contains("`Good`")),
+        "a tier missing from the equivalence suite must be flagged"
     );
+    // The fixture's `Format8` enum has a complete `ALL`.
+    assert_silent("kernel-consistency", "crates/kernels/src/format8.rs");
 }
 
 #[test]
