@@ -1,6 +1,7 @@
 //! Kernel-tier characterization: ops/s for the scalar, table (LUT) and
 //! table+parallel matmul kernels over every 8-bit format, plus the f32
-//! serial vs parallel tensor layer.
+//! serial vs parallel tensor layer: one matmul and `conv2d_f32` on each
+//! 3×3 stage shape of ResNet20.
 //!
 //! The status path is measured too: `ArithCtx::matmul8` (codes plus
 //! event counters) per format on each tier, and `ArithCtx::mul`/`add`
@@ -28,8 +29,8 @@ use std::time::Instant;
 use nga_approx::ApproxMultiplier;
 use nga_bench::{banner, print_table};
 use nga_kernels::{
-    matmul8, matmul8_parallel, matmul8_scalar, matmul_f32, matmul_f32_parallel, num_threads,
-    ArithCtx, Format8, KernelTier, LutOp,
+    conv2d_f32, im2col, matmul8, matmul8_parallel, matmul8_scalar, matmul_f32, matmul_f32_parallel,
+    num_threads, ArithCtx, Format8, KernelTier, LutOp,
 };
 use nga_nn::layers::{Conv2d, Layer, Network};
 use nga_nn::models::{kws_mini, resnet20, resnet_mini};
@@ -186,6 +187,55 @@ fn bench_f32(m: usize, k: usize, n: usize) -> Row {
     }
 }
 
+/// ResNet20's 3×3, pad-1 conv stages as `(ch, h, w, oc)`.
+const CONV_F32_SHAPES: [(usize, usize, usize, usize); 3] =
+    [(16, 32, 32, 16), (32, 16, 16, 32), (64, 8, 8, 64)];
+
+/// f32 conv throughput on one stage shape, in MAC/s.
+struct ConvRow {
+    label: String,
+    macs: u64,
+    /// `im2col` then `matmul_f32` (the conv's GEMM on one thread; the
+    /// outputs start at 0.0 instead of the bias).
+    serial: f64,
+    /// `conv2d_f32` itself, in row bands when `oc·oh·ow` reaches the
+    /// banding threshold.
+    banded: f64,
+}
+
+fn bench_conv_f32((ch, h, w, oc): (usize, usize, usize, usize)) -> ConvRow {
+    let (kh, kw, stride, pad) = (3, 3, 1, 1);
+    let kdim = ch * kh * kw;
+    let input: Vec<f32> = (0..ch * h * w)
+        .map(|i| ((i * 37) % 101) as f32 / 50.5 - 1.0)
+        .collect();
+    let weights: Vec<f32> = (0..oc * kdim)
+        .map(|i| ((i * 53) % 89) as f32 / 440.0 - 0.1)
+        .collect();
+    let bias: Vec<f32> = (0..oc).map(|i| i as f32 * 0.01).collect();
+    let (mut cols, mut out) = (Vec::new(), Vec::new());
+    let (oh, ow) = im2col(&input, ch, h, w, kh, kw, stride, pad, &mut cols);
+    let npix = oh * ow;
+    let mut gemm_out = vec![0.0f32; oc * npix];
+    let serial = time_call(|| {
+        im2col(&input, ch, h, w, kh, kw, stride, pad, &mut cols);
+        matmul_f32(&weights, &cols, &mut gemm_out, oc, kdim, npix);
+    });
+    let banded = time_call(|| {
+        conv2d_f32(
+            &input, ch, h, w, &weights, &bias, oc, kh, kw, stride, pad, &mut cols, &mut out,
+        );
+    });
+    std::hint::black_box((&out, &gemm_out));
+    let macs = (oc * kdim * npix) as u64;
+    ConvRow {
+        label: format!("conv2d_f32 {ch}x{h}x{w}->{oc} 3x3 p1"),
+        macs,
+        serial: macs as f64 / serial,
+        banded: macs as f64 / banded,
+    }
+}
+
 /// `QuantizedNetwork::forward` throughput of one network for the Mitchell
 /// and the exact multiplier.
 struct QRow {
@@ -327,6 +377,7 @@ fn main() {
             .into_iter()
             .map(|f| bench_ctx_format(f, m, k, n)),
     );
+    let conv_rows: Vec<ConvRow> = CONV_F32_SHAPES.into_iter().map(bench_conv_f32).collect();
     let scalar_rows: Vec<ScalarRow> = Format8::ALL.into_iter().map(bench_ctx_scalar).collect();
     let qrows = bench_qforward();
 
@@ -353,6 +404,22 @@ fn main() {
             "parallel speedup",
         ],
         &table_rows,
+    );
+
+    println!();
+    print_table(
+        &["f32 conv (im2col + GEMM)", "MACs", "serial", "banded"],
+        &conv_rows
+            .iter()
+            .map(|r| {
+                vec![
+                    r.label.clone(),
+                    r.macs.to_string(),
+                    format!("{}MAC/s", fmt_ops(r.serial)),
+                    format!("{}MAC/s", fmt_ops(r.banded)),
+                ]
+            })
+            .collect::<Vec<_>>(),
     );
 
     println!();
@@ -406,6 +473,21 @@ fn main() {
                 r.scalar / r.parallel,
             ));
         }
+        let conv_entries: Vec<String> = conv_rows
+            .iter()
+            .map(|r| {
+                format!(
+                    concat!(
+                        "    {{\"kernel\": \"{}\", \"macs_per_call\": {}, ",
+                        "\"serial_gmac_per_s\": {:.3}, \"banded_gmac_per_s\": {:.3}}}"
+                    ),
+                    r.label,
+                    r.macs,
+                    r.serial / 1e9,
+                    r.banded / 1e9,
+                )
+            })
+            .collect();
         let scalar_entries: Vec<String> = scalar_rows
             .iter()
             .map(|r| {
@@ -441,11 +523,13 @@ fn main() {
         let doc = format!(
             concat!(
                 "{{\n  \"bench\": \"kernels\",\n  \"threads\": {},\n",
-                "  \"cases\": [\n{}\n  ],\n  \"ctx_scalar\": [\n{}\n  ],\n",
+                "  \"cases\": [\n{}\n  ],\n  \"conv_f32\": [\n{}\n  ],\n",
+                "  \"ctx_scalar\": [\n{}\n  ],\n",
                 "  \"qforward\": [\n{}\n  ]\n}}\n"
             ),
             num_threads(),
             entries.join(",\n"),
+            conv_entries.join(",\n"),
             scalar_entries.join(",\n"),
             q_entries.join(",\n")
         );

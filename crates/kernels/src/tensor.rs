@@ -1,9 +1,9 @@
-//! Batched tensor primitives: dot products, blocked matmul and im2col
+//! Batched tensor primitives: dot products, matmul and im2col
 //! convolution over `&[f32]` and `&[u8]` (8-bit format codes).
 //!
-//! All matmuls accumulate each output element in ascending-`k` order, in
-//! both the serial and the row-banded parallel variants, so parallel
-//! results are bit-for-bit equal to serial ones.
+//! All matmuls accumulate each output element in ascending-`k` order,
+//! whatever row band (or, for f32, register tile) it falls in, so
+//! parallel results are bit-for-bit equal to serial ones.
 
 use std::ops::Range;
 
@@ -54,30 +54,102 @@ fn check_matmul_shapes<T>(a: &[T], b: &[T], out: &[T], m: usize, k: usize, n: us
     assert_eq!(out.len(), m * n, "out is m×n");
 }
 
-/// The row worker shared by the serial and parallel f32 matmuls:
-/// computes global rows `rows` of `a·b` into `oband` (local rows).
+/// Rows × columns of the f32 register tile. On the baseline x86-64
+/// target (SSE2, 16 vector registers) 4×8 accumulators take 8 registers
+/// and each `b` load feeds 4 outputs; 6×8 and 8×8 measured slower.
+const MR: usize = 4;
+const NR: usize = 8;
+
+/// The one f32 GEMM row worker, shared by [`conv2d_f32`] and every f32
+/// matmul: computes global rows `rows` of `a·b` (`a` m×k, `b` k×n) into
+/// `oband` (local rows), each row starting at its `bias` entry, or at
+/// `0.0` without a bias.
 ///
-/// Register-blocked ikj: each lhs element is broadcast across a
-/// contiguous rhs row, so the inner loop is a stride-1 fused
-/// multiply-add sweep the compiler can vectorise.
-fn matmul_f32_rows(
+/// Register-blocked: an `MR`×`NR` output tile stays in a local array for
+/// the whole `k` loop, so each output is stored once. Band rows past the
+/// last multiple of `MR` run one row at a time, and columns past the last
+/// multiple of `NR` run in one narrower tile.
+///
+/// Bit-identity: whatever the tile, tail or band split, every output
+/// starts at its bias (or `0.0`) and adds `a[row][kk] · b[kk][col]` for
+/// ascending `kk`, as a separate multiply and add (Rust never contracts
+/// them into an FMA). That is the naive per-element loop's order, so
+/// every result is the same f32 bit for bit.
+fn gemm_f32_rows(
     a: &[f32],
     b: &[f32],
     oband: &mut [f32],
     rows: Range<usize>,
     k: usize,
     n: usize,
+    bias: Option<&[f32]>,
 ) {
-    for (li, gi) in rows.enumerate() {
-        let arow = &a[gi * k..(gi + 1) * k];
-        let orow = &mut oband[li * n..(li + 1) * n];
-        orow.fill(0.0);
-        for (kk, &av) in arow.iter().enumerate() {
-            let brow = &b[kk * n..(kk + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
+    // No columns, no work; and a zero chunk size would panic below.
+    if n == 0 {
+        return;
+    }
+    let mut blocks = oband.chunks_exact_mut(MR * n);
+    let mut gi = rows.start;
+    for oblk in &mut blocks {
+        row_block::<MR>(a, b, oblk, gi, k, n, bias);
+        gi += MR;
+    }
+    for orow in blocks.into_remainder().chunks_exact_mut(n) {
+        row_block::<1>(a, b, orow, gi, k, n, bias);
+        gi += 1;
+    }
+}
+
+/// `R` output rows from global row `gi`: full `NR`-wide tiles, then the
+/// column tail.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn row_block<const R: usize>(
+    a: &[f32],
+    b: &[f32],
+    oblk: &mut [f32],
+    gi: usize,
+    k: usize,
+    n: usize,
+    bias: Option<&[f32]>,
+) {
+    let arows: [&[f32]; R] = std::array::from_fn(|r| &a[(gi + r) * k..(gi + r + 1) * k]);
+    let start: [f32; R] = std::array::from_fn(|r| bias.map_or(0.0, |b| b[gi + r]));
+    let full = n - n % NR;
+    for j0 in (0..full).step_by(NR) {
+        tile(&arows, start, b, oblk, j0, NR, n);
+    }
+    if full < n {
+        tile(&arows, start, b, oblk, full, n - full, n);
+    }
+}
+
+/// One tile: columns `j0..j0 + width` (`width ≤ NR`) of `R` rows.
+#[inline(always)]
+fn tile<const R: usize>(
+    arows: &[&[f32]; R],
+    start: [f32; R],
+    b: &[f32],
+    oblk: &mut [f32],
+    j0: usize,
+    width: usize,
+    n: usize,
+) {
+    // Opaque start values: where LLVM sees the matmuls' constant `0.0`,
+    // its vectoriser shuffles the tile between registers every `k` step
+    // and the loop runs ~35 % slower.
+    let mut acc = std::hint::black_box(start).map(|v| [v; NR]);
+    for (kk, brow) in b.chunks_exact(n).enumerate() {
+        let bt = &brow[j0..j0 + width];
+        for (accr, arow) in acc.iter_mut().zip(arows) {
+            let av = arow[kk];
+            for (o, &bv) in accr.iter_mut().zip(bt) {
                 *o += av * bv;
             }
         }
+    }
+    for (accr, orow) in acc.iter().zip(oblk.chunks_exact_mut(n)) {
+        orow[j0..j0 + width].copy_from_slice(&accr[..width]);
     }
 }
 
@@ -87,7 +159,7 @@ pub fn matmul_f32(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: 
     check_matmul_shapes(a, b, out, m, k, n);
     let _span = nga_obs::span("matmul_f32:serial");
     obs_macs(m, k, n, 0, None);
-    matmul_f32_rows(a, b, out, 0..m, k, n);
+    gemm_f32_rows(a, b, out, 0..m, k, n, None);
 }
 
 /// Row-banded parallel matrix multiply; bit-for-bit equal to
@@ -97,7 +169,7 @@ pub fn matmul_f32_parallel(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: u
     let _span = nga_obs::span("matmul_f32:parallel");
     obs_macs(m, k, n, 0, None);
     for_each_band(out, m, n, |rows, oband| {
-        matmul_f32_rows(a, b, oband, rows, k, n);
+        gemm_f32_rows(a, b, oband, rows, k, n, None);
     });
 }
 
@@ -154,9 +226,10 @@ pub fn im2col(
 
 /// im2col convolution: `weights` is `[oc, ch·kh·kw]` row-major, `bias`
 /// has one entry per output channel, and the result `[oc, oh, ow]` is
-/// written to `out`. Accumulation per output pixel starts at the bias
-/// and proceeds in ascending `(c, ky, kx)` order — the same order as a
-/// direct scalar convolution loop.
+/// written to `out`. The GEMM of `weights` by the im2col matrix runs in
+/// row bands on the f32 matmuls' register-blocked worker: each output
+/// pixel starts at its bias and accumulates in ascending `(c, ky, kx)`
+/// order, the same order as a direct scalar convolution loop.
 ///
 /// `cols` is scratch reused across calls to avoid re-allocating.
 /// Returns `(oh, ow)`.
@@ -186,17 +259,7 @@ pub fn conv2d_f32(
     out.clear();
     out.resize(oc * npix, 0.0);
     for_each_band(out.as_mut_slice(), oc, npix, |rows, oband| {
-        for (li, gi) in rows.enumerate() {
-            let wrow = &weights[gi * kdim..(gi + 1) * kdim];
-            let orow = &mut oband[li * npix..(li + 1) * npix];
-            orow.fill(bias[gi]);
-            for (kk, &wv) in wrow.iter().enumerate() {
-                let crow = &cols[kk * npix..(kk + 1) * npix];
-                for (o, &cv) in orow.iter_mut().zip(crow) {
-                    *o += wv * cv;
-                }
-            }
-        }
+        gemm_f32_rows(weights, cols, oband, rows, kdim, npix, Some(bias));
     });
     (oh, ow)
 }
@@ -460,8 +523,11 @@ pub(crate) mod tests {
         matmul_f32(&a, &b, &mut out, m, k, n);
         for i in 0..m {
             for j in 0..n {
-                let want: f32 = (0..k).map(|x| a[i * k + x] * b[x * n + j]).sum();
-                assert!((out[i * n + j] - want).abs() < 1e-4);
+                let mut want = 0.0f32;
+                for x in 0..k {
+                    want += a[i * k + x] * b[x * n + j];
+                }
+                assert_eq!(out[i * n + j].to_bits(), want.to_bits(), "({i}, {j})");
             }
         }
     }

@@ -3,12 +3,17 @@
 //! 65 536 input pairs (including NaR, NaN, infinities and both zeros),
 //! and every kernel tier agrees bit-for-bit with a naive reference on
 //! random shapes, including shapes large enough to run in row bands.
+//! The f32 matmuls and `conv2d_f32` are held to naive per-element loops
+//! the same way, on shapes that leave row and column tails in the
+//! register tile and on inputs with NaN, infinities, zeros and
+//! subnormals.
 
 mod common;
 
-use common::naive_matmul8;
+use common::{f32_bits, f32_values, naive_conv2d_f32, naive_matmul8, naive_matmul_f32};
 use nga_kernels::{
-    add_table, matmul_f32, matmul_f32_parallel, mul_table, ArithCtx, Format8, KernelTier, LutOp,
+    add_table, conv2d_f32, im2col, matmul_f32, matmul_f32_parallel, mul_table, ArithCtx, Format8,
+    KernelTier, LutOp,
 };
 use proptest::prelude::*;
 
@@ -93,9 +98,7 @@ fn kernel_tiers_match_scalar_reference_on_every_format() {
     // Deterministic byte inputs that include NaR/NaN/inf codes.
     let a8: Vec<u8> = (0..m * k).map(|i| (i * 41 + 3) as u8).collect();
     let b8: Vec<u8> = (0..k * n).map(|i| (i * 97 + 128) as u8).collect();
-    let mut f32_ref = vec![0.0f32; m * n];
-    KernelTier::Scalar.matmul_f32(&af, &bf, &mut f32_ref, m, k, n);
-    let refb: Vec<u32> = f32_ref.iter().map(|v| v.to_bits()).collect();
+    let refb = f32_bits(&naive_matmul_f32(&af, &bf, None, m, k, n));
     for fmt in Format8::ALL {
         let (u8_ref, _) = naive_matmul8(fmt, &a8, &b8, m, k, n);
         for tier in KernelTier::ALL {
@@ -103,9 +106,119 @@ fn kernel_tiers_match_scalar_reference_on_every_format() {
             let mut u = vec![0u8; m * n];
             tier.matmul_f32(&af, &bf, &mut f, m, k, n);
             tier.matmul8(fmt, &a8, &b8, &mut u, m, k, n);
-            let fb: Vec<u32> = f.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(fb, refb, "{tier} f32 ≡ scalar");
+            assert_eq!(f32_bits(&f), refb, "{tier} f32 ≡ naive");
             assert_eq!(u, u8_ref, "{tier} {} ≡ naive", fmt.id());
+        }
+    }
+}
+
+/// `a·b` through every f32 matmul entry point, each into an output
+/// pre-filled with a sentinel so a skipped element shows.
+fn f32_matmuls(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<(String, Vec<f32>)> {
+    let run = |f: &dyn Fn(&mut [f32])| {
+        let mut out = vec![12345.0f32; m * n];
+        f(&mut out);
+        out
+    };
+    let mut all = vec![
+        (
+            "matmul_f32".to_string(),
+            run(&|o| matmul_f32(a, b, o, m, k, n)),
+        ),
+        (
+            "matmul_f32_parallel".to_string(),
+            run(&|o| matmul_f32_parallel(a, b, o, m, k, n)),
+        ),
+    ];
+    for tier in KernelTier::ALL {
+        all.push((
+            format!("{tier}"),
+            run(&|o| tier.matmul_f32(a, b, o, m, k, n)),
+        ));
+        let ctx = ArithCtx::labeled("equivalence").with_tier(tier);
+        all.push((
+            format!("ctx {tier}"),
+            run(&|o| ctx.matmul_f32(a, b, o, m, k, n)),
+        ));
+    }
+    all
+}
+
+#[test]
+fn f32_tiles_and_tails_match_the_naive_reference() {
+    // Rows m mod 4 ∈ {0,1,2,3} and columns n < 8, n mod 8 ≠ 0 and n a
+    // multiple of 8, at k = 1 and deeper; then sizes with m·n ≥ 16 384
+    // that run in row bands, with odd row counts so the bands (at any
+    // thread count above one) start part-way through a 4-row tile.
+    let small = [1usize, 2, 3, 4, 5, 6, 7, 9, 13]
+        .into_iter()
+        .flat_map(|m| [1usize, 3, 7, 8, 9, 16, 23].map(|n| (m, n)))
+        .flat_map(|(m, n)| [1usize, 2, 5, 33].map(|k| (m, k, n)));
+    let banded = [
+        (17, 3, 1000),
+        (18, 5, 1027),
+        (19, 1, 1031),
+        (16, 2, 1024),
+        (21, 7, 789),
+    ];
+    for (i, (m, k, n)) in small.chain(banded).enumerate() {
+        for special in [false, true] {
+            let a = f32_values(i as u64, m * k, special);
+            let b = f32_values(i as u64 + 1000, k * n, special);
+            let want = f32_bits(&naive_matmul_f32(&a, &b, None, m, k, n));
+            for (name, got) in f32_matmuls(&a, &b, m, k, n) {
+                assert_eq!(f32_bits(&got), want, "{name} {m}x{k}x{n} special={special}");
+            }
+        }
+    }
+}
+
+#[test]
+fn conv2d_f32_matches_both_naive_references() {
+    // (ch, h, w, oc, kh, kw, stride, pad): a ResNet20 stage-1 conv, which
+    // runs in row bands; k = 1; fewer than 8 and non-multiple-of-8 output
+    // pixels; strided, asymmetric and wide-padded kernels; 17 output
+    // channels over 1760 pixels, banded with a row tail.
+    let shapes = [
+        (16, 32, 32, 16, 3, 3, 1, 1),
+        (1, 5, 5, 3, 1, 1, 1, 0),
+        (2, 3, 3, 5, 3, 3, 1, 1),
+        (3, 7, 6, 6, 3, 3, 2, 1),
+        (2, 4, 4, 7, 2, 2, 2, 0),
+        (4, 9, 11, 9, 5, 3, 1, 2),
+        (3, 40, 44, 17, 3, 3, 1, 1),
+    ];
+    for (i, (ch, h, w, oc, kh, kw, stride, pad)) in shapes.into_iter().enumerate() {
+        let kdim = ch * kh * kw;
+        for special in [false, true] {
+            let seed = 10 * i as u64;
+            let input = f32_values(seed, ch * h * w, special);
+            let weights = f32_values(seed + 1, oc * kdim, special);
+            let bias = f32_values(seed + 2, oc, special);
+            let (mut cols, mut out) = (Vec::new(), Vec::new());
+            let (oh, ow) = conv2d_f32(
+                &input, ch, h, w, &weights, &bias, oc, kh, kw, stride, pad, &mut cols, &mut out,
+            );
+            let label = format!("conv {:?} special={special}", shapes[i]);
+            let got = f32_bits(&out);
+
+            let (direct, direct_hw) = naive_conv2d_f32(
+                &input,
+                (ch, h, w),
+                &weights,
+                &bias,
+                oc,
+                (kh, kw),
+                stride,
+                pad,
+            );
+            assert_eq!((oh, ow), direct_hw, "{label}: output size");
+            assert_eq!(got, f32_bits(&direct), "{label}: direct loop");
+
+            let mut unfolded = Vec::new();
+            im2col(&input, ch, h, w, kh, kw, stride, pad, &mut unfolded);
+            let gemm = naive_matmul_f32(&weights, &unfolded, Some(&bias), oc, kdim, oh * ow);
+            assert_eq!(got, f32_bits(&gemm), "{label}: naive GEMM over im2col");
         }
     }
 }
@@ -114,31 +227,27 @@ fn kernel_tiers_match_scalar_reference_on_every_format() {
 /// parallel tier really splits rows across threads, and `k·n > 511` so a
 /// status sweep folds its event tally more than once per row.
 fn shapes() -> impl Strategy<Value = (usize, usize, usize)> {
-    prop_oneof![(1usize..24, 1usize..16, 1usize..24), (16usize..24, 1usize..4, 1024usize..1100)]
+    prop_oneof![
+        (1usize..24, 1usize..16, 1usize..24),
+        (16usize..24, 1usize..4, 1024usize..1100)
+    ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn parallel_f32_matmul_is_bit_identical_to_serial(
+    fn every_f32_entry_point_matches_the_naive_reference(
         (m, k, n) in shapes(),
         seed in 0u64..1_000_000,
     ) {
-        let mut state = seed;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 33) as f32 / (1u32 << 31) as f32) - 0.5
-        };
-        let a: Vec<f32> = (0..m * k).map(|_| next()).collect();
-        let b: Vec<f32> = (0..k * n).map(|_| next()).collect();
-        let mut serial = vec![0.0f32; m * n];
-        let mut par = vec![0.0f32; m * n];
-        matmul_f32(&a, &b, &mut serial, m, k, n);
-        matmul_f32_parallel(&a, &b, &mut par, m, k, n);
-        let sb: Vec<u32> = serial.iter().map(|v| v.to_bits()).collect();
-        let pb: Vec<u32> = par.iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(sb, pb);
+        let special = seed % 2 == 0;
+        let a = f32_values(seed, m * k, special);
+        let b = f32_values(!seed, k * n, special);
+        let want = f32_bits(&naive_matmul_f32(&a, &b, None, m, k, n));
+        for (name, got) in f32_matmuls(&a, &b, m, k, n) {
+            prop_assert_eq!(&f32_bits(&got), &want, "{} {}x{}x{}", name, m, k, n);
+        }
     }
 
     #[test]

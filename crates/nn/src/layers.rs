@@ -111,11 +111,11 @@ impl Conv2d {
         assert_eq!(x.shape()[0], in_ch, "channel count");
         let (h, w) = (x.shape()[1], x.shape()[2]);
         let os = self.out_shape(x.shape());
-        // im2col + row-banded matmul (nga-kernels). Accumulation per
-        // output pixel starts at the bias and runs in ascending
-        // (ic, ky, kx) order — the same order as the direct loop this
-        // replaces, so results only differ by padded taps contributing
-        // an exact +0.0.
+        // im2col + nga-kernels' register-blocked f32 GEMM, in row bands.
+        // Each output pixel starts at the bias and adds w·x for ascending
+        // (ic, ky, kx), one multiply and one add per tap, whatever the
+        // tile or band split: a direct loop's order, except that padded
+        // taps also add w·0.0.
         let mut cols = Vec::new();
         let mut out = Vec::new();
         nga_kernels::conv2d_f32(
