@@ -11,7 +11,11 @@
 //! per-bench measurement window (milliseconds; default 300, `quick`
 //! flavours use less).
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "a benchmark harness times its cases and reads NGA_BENCH_MS"
+)]
 
 use std::time::{Duration, Instant};
 

@@ -12,8 +12,6 @@
 //! a deterministic per-test generator. There is no shrinking — a failing
 //! case panics with the values bound, which is enough for CI.
 
-#![forbid(unsafe_code)]
-
 /// Test-runner configuration.
 pub mod test_runner {
     /// Number-of-cases configuration (the `ProptestConfig` subset in use).
@@ -388,7 +386,10 @@ macro_rules! __proptest_tests {
                     );
                     // The closure gives `prop_assume!` an early-exit target:
                     // it returns `false` to reject the case without failing.
-                    #[allow(clippy::redundant_closure_call)]
+                    #[expect(
+                        clippy::redundant_closure_call,
+                        reason = "the closure is the early-exit target of `prop_assume!`"
+                    )]
                     let __accepted = (|| -> bool {
                         $crate::__proptest_bind!(__rng, $($params)*);
                         $body

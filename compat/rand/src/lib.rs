@@ -11,8 +11,6 @@
 //! ChaCha-based `StdRng`, which is fine: nothing in the repo depends on a
 //! particular stream, only on determinism.
 
-#![forbid(unsafe_code)]
-
 /// A seedable random number generator (the trait subset the workspace uses).
 pub trait SeedableRng: Sized {
     /// Creates a generator from a 64-bit seed.

@@ -26,7 +26,6 @@
 //! assert_eq!(ApproxMultiplier::Exact.multiply(213, 89), 213 * 89);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod metrics;

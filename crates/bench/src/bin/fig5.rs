@@ -82,6 +82,7 @@ fn kws_task(name: &'static str, seed: u64) -> Task {
     }
 }
 
+#[expect(clippy::disallowed_methods, reason = "reads the --quick flag")]
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     banner("Fig. 5 — accuracy with 10 approximate multipliers on 3 DNNs");

@@ -24,6 +24,12 @@
 //! Environment: `NGA_BENCH_MS` sets the per-case measurement window
 //! (default 300 ms), `NGA_THREADS` caps the parallel tier's workers.
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "a benchmark times its cases and reads its flags and window"
+)]
+
 use std::time::Instant;
 
 use nga_approx::ApproxMultiplier;

@@ -81,6 +81,7 @@ fn run(w: &Workload) {
     let _ = nga_funcgen::explore::explore(1..=pts, |&p| (p, pts as f64 / p as f64), 1.0);
 }
 
+#[expect(clippy::disallowed_methods, reason = "reads the --quick flag")]
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let w = if quick { &QUICK } else { &FULL };

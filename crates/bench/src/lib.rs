@@ -21,7 +21,6 @@
 //! throughput of each arithmetic system plus the ablations DESIGN.md
 //! calls out.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt::Display;

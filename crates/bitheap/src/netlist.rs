@@ -275,8 +275,10 @@ mod tests {
             let v = n.eval(&assign);
             assert_eq!(v[and], assign[0] && assign[1]);
             assert_eq!(v[xor], assign[0] ^ assign[1] ^ assign[2]);
-            // The textbook 3-input majority form, kept as-is for clarity.
-            #[allow(clippy::nonminimal_bool)]
+            #[expect(
+                clippy::nonminimal_bool,
+                reason = "the textbook 3-input majority form, kept as-is for clarity"
+            )]
             let expect_maj =
                 (assign[0] && assign[1]) || (assign[0] && assign[2]) || (assign[1] && assign[2]);
             assert_eq!(v[maj], expect_maj);

@@ -15,7 +15,10 @@ use crate::posit::Posit;
 // `add`/`sub`/`mul`/`div` match the softfloat-style naming used across the
 // workspace; the std ops traits don't fit because operand formats must
 // match at runtime (the methods panic on mismatch).
-#[allow(clippy::should_implement_trait)]
+#[expect(
+    clippy::should_implement_trait,
+    reason = "operand formats must match at runtime; see above"
+)]
 impl Posit {
     /// Addition with posit rounding.
     ///

@@ -154,63 +154,32 @@ impl Quire {
         debug_assert!(pos >= 0, "product LSB below quire LSB");
         let negative = (ua.sign ^ ub.sign) ^ negate;
         if negative {
-            self.sub_at(prod, pos as u32);
+            self.ripple_at(prod, pos as u32, u64::overflowing_sub);
         } else {
-            self.add_at(prod, pos as u32);
+            self.ripple_at(prod, pos as u32, u64::overflowing_add);
         }
     }
 
-    /// Adds `value << pos` to the register (two's-complement wrap on
-    /// overflow beyond the carry guard — unreachable in fewer than 2^30
-    /// accumulations).
-    fn add_at(&mut self, value: u128, pos: u32) {
+    /// Adds (`op` = `u64::overflowing_add`) or subtracts
+    /// (`u64::overflowing_sub`) `value << pos` to or from the register,
+    /// rippling the carry or borrow upwards (two's-complement wrap beyond
+    /// the carry guard — unreachable in fewer than 2^30 accumulations).
+    fn ripple_at(&mut self, value: u128, pos: u32, op: impl Fn(u64, u64) -> (u64, bool)) {
         let (w, b) = ((pos / 64) as usize, pos % 64);
         let lo = value << b; // up to 192 bits across three words
         let hi = if b == 0 { 0 } else { value >> (128 - b) };
-        let parts = [lo as u64, (lo >> 64) as u64, hi as u64];
+        let mut parts = [lo as u64, (lo >> 64) as u64, hi as u64].into_iter();
         let mut carry = 0u64;
-        for (i, &p) in parts.iter().enumerate() {
-            let idx = w + i;
-            if idx >= self.words.len() {
-                break;
-            }
-            let (s1, c1) = self.words[idx].overflowing_add(p);
-            let (s2, c2) = s1.overflowing_add(carry);
-            self.words[idx] = s2;
+        for word in self.words.iter_mut().skip(w) {
+            let p = match parts.next() {
+                Some(p) => p,
+                None if carry == 0 => break,
+                None => 0,
+            };
+            let (r1, c1) = op(*word, p);
+            let (r2, c2) = op(r1, carry);
+            *word = r2;
             carry = u64::from(c1) + u64::from(c2);
-        }
-        let mut idx = w + 3;
-        while carry != 0 && idx < self.words.len() {
-            let (s, c) = self.words[idx].overflowing_add(carry);
-            self.words[idx] = s;
-            carry = u64::from(c);
-            idx += 1;
-        }
-    }
-
-    /// Subtracts `value << pos` from the register.
-    fn sub_at(&mut self, value: u128, pos: u32) {
-        let (w, b) = ((pos / 64) as usize, pos % 64);
-        let lo = value << b;
-        let hi = if b == 0 { 0 } else { value >> (128 - b) };
-        let parts = [lo as u64, (lo >> 64) as u64, hi as u64];
-        let mut borrow = 0u64;
-        for (i, &p) in parts.iter().enumerate() {
-            let idx = w + i;
-            if idx >= self.words.len() {
-                break;
-            }
-            let (d1, b1) = self.words[idx].overflowing_sub(p);
-            let (d2, b2) = d1.overflowing_sub(borrow);
-            self.words[idx] = d2;
-            borrow = u64::from(b1) + u64::from(b2);
-        }
-        let mut idx = w + 3;
-        while borrow != 0 && idx < self.words.len() {
-            let (d, b) = self.words[idx].overflowing_sub(borrow);
-            self.words[idx] = d;
-            borrow = u64::from(b);
-            idx += 1;
         }
     }
 
@@ -238,10 +207,10 @@ impl Quire {
             self.words.clone()
         };
         // Find the most significant set bit.
-        let Some(msw) = mag.iter().rposition(|&w| w != 0) else {
+        let Some((msw, top_word)) = mag.iter().enumerate().rfind(|&(_, &w)| w != 0) else {
             return Posit::zero(self.format);
         };
-        let msb_in_word = 63 - mag[msw].leading_zeros();
+        let msb_in_word = 63 - top_word.leading_zeros();
         let msb_pos = msw as u32 * 64 + msb_in_word;
         // Collect the bit window [lo_pos, msb_pos] (at most 128 bits) into
         // `sig`; everything below lo_pos collapses into a sticky bit.

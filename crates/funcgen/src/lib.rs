@@ -22,7 +22,6 @@
 //! - the Fig. 1 **parametric sine/cosine** generator ([`sincos`]), whose
 //!   table-split parameter trades table size against multiplier size.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bipartite;

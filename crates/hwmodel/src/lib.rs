@@ -22,7 +22,6 @@
 //! - [`accuracy`]: the Fig. 9/10 decimal-accuracy series for 16-bit
 //!   fixed point, binary16, bfloat16 and posit16.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod accuracy;

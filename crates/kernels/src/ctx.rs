@@ -153,7 +153,7 @@ impl ArithCtx {
     /// `out = a · b` over 8-bit format codes through the selected tier.
     /// Output codes are identical across tiers; the per-call counters are
     /// returned and also merged into the sticky status and trace scope.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "BLAS-style flat slices and dims")]
     pub fn matmul8(
         &mut self,
         fmt: Format8,

@@ -57,6 +57,7 @@ impl KernelTier {
     /// workspace that reads `NGA_KERNEL` — the `ctx-single-source` lint
     /// rule keeps it that way.
     #[must_use]
+    #[expect(clippy::disallowed_methods, reason = "the documented NGA_KERNEL read")]
     pub fn from_env() -> Self {
         std::env::var("NGA_KERNEL")
             .ok()
@@ -66,7 +67,7 @@ impl KernelTier {
 
     /// `out = a · b` over 8-bit format codes on this tier (status-free;
     /// the codes are identical on every tier).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "BLAS-style flat slices and dims")]
     pub fn matmul8(
         self,
         fmt: Format8,

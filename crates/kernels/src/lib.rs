@@ -22,7 +22,15 @@
 //! [`nga_approx::ApproxMultiplier`], replacing an abs-widen-multiply per
 //! MAC with one indexed load.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 mod ctx;
 mod format8;

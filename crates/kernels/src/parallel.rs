@@ -17,6 +17,10 @@ use std::sync::OnceLock;
 /// `NGA_THREADS` are not seen. (On Linux `available_parallelism` reads
 /// cgroup quota files, which costs tens of microseconds per call.)
 #[must_use]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "NGA_THREADS caps the worker count; results do not depend on it"
+)]
 pub fn num_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {

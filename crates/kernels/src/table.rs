@@ -43,11 +43,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 impl BinaryTable {
     /// Builds the table by evaluating `op` on all 65 536 input pairs.
     #[must_use]
+    #[expect(clippy::indexing_slicing, reason = "(a << 8) | b < 65536")]
     pub fn build(op: impl Fn(u8, u8) -> u8) -> Self {
         let mut entries = Box::new([0u8; 65536]);
         for a in 0..=255u8 {
             for b in 0..=255u8 {
-                // lint: allow(no-panic): (a << 8) | b < 65536 by construction
                 entries[(usize::from(a) << 8) | usize::from(b)] = op(a, b);
             }
         }
@@ -58,10 +58,10 @@ impl BinaryTable {
     /// Looks up `op(a, b)`.
     #[inline(always)]
     #[must_use]
+    #[expect(clippy::indexing_slicing, reason = "(a << 8) | b < 65536")]
     pub fn get(&self, a: u8, b: u8) -> u8 {
         // Indexing [u8; 65536] with (a << 8) | b is always in bounds, so
         // the bounds check compiles away.
-        // lint: allow(no-panic): (a << 8) | b < 65536 by construction
         self.entries[(usize::from(a) << 8) | usize::from(b)]
     }
 
@@ -81,8 +81,8 @@ impl BinaryTable {
     /// Fault-injection hook: XORs `mask` into the entry for `(a, b)`,
     /// modeling a single-event upset in table SRAM. The stored checksum
     /// is left untouched, so [`Self::verify`] reports the damage.
+    #[expect(clippy::indexing_slicing, reason = "(a << 8) | b < 65536")]
     pub fn corrupt_entry(&mut self, a: u8, b: u8, mask: u8) {
-        // lint: allow(no-panic): (a << 8) | b < 65536 by construction
         self.entries[(usize::from(a) << 8) | usize::from(b)] ^= mask;
     }
 }
@@ -93,23 +93,37 @@ impl std::fmt::Debug for BinaryTable {
     }
 }
 
-static MUL_TABLES: [OnceLock<BinaryTable>; 4] = [const { OnceLock::new() }; 4];
-static ADD_TABLES: [OnceLock<BinaryTable>; 4] = [const { OnceLock::new() }; 4];
+/// One lazily built table per format: the length comes from
+/// `Format8::ALL`, so rustc ties the caches to the enum.
+type PerFormat = [OnceLock<BinaryTable>; Format8::ALL.len()];
+
+static MUL_TABLES: PerFormat = [const { OnceLock::new() }; Format8::ALL.len()];
+static ADD_TABLES: PerFormat = [const { OnceLock::new() }; Format8::ALL.len()];
+static MUL_EVENT_TABLES: PerFormat = [const { OnceLock::new() }; Format8::ALL.len()];
+static ADD_EVENT_TABLES: PerFormat = [const { OnceLock::new() }; Format8::ALL.len()];
+
+/// `fmt`'s table in `caches`, built from `op` on first use.
+#[inline]
+#[expect(clippy::indexing_slicing, reason = "fmt.index() < Format8::ALL.len()")]
+fn cached(
+    caches: &'static PerFormat,
+    fmt: Format8,
+    op: impl Fn(u8, u8) -> u8,
+) -> &'static BinaryTable {
+    caches[fmt.index()].get_or_init(|| BinaryTable::build(op))
+}
 
 /// The process-wide multiply table for `fmt` (built on first use).
 #[inline]
 pub fn mul_table(fmt: Format8) -> &'static BinaryTable {
-    MUL_TABLES[fmt.index()].get_or_init(|| BinaryTable::build(|a, b| fmt.mul_scalar_events(a, b).0))
+    cached(&MUL_TABLES, fmt, |a, b| fmt.mul_scalar_events(a, b).0)
 }
 
 /// The process-wide addition table for `fmt` (built on first use).
 #[inline]
 pub fn add_table(fmt: Format8) -> &'static BinaryTable {
-    ADD_TABLES[fmt.index()].get_or_init(|| BinaryTable::build(|a, b| fmt.add_scalar_events(a, b).0))
+    cached(&ADD_TABLES, fmt, |a, b| fmt.add_scalar_events(a, b).0)
 }
-
-static MUL_EVENT_TABLES: [OnceLock<BinaryTable>; 4] = [const { OnceLock::new() }; 4];
-static ADD_EVENT_TABLES: [OnceLock<BinaryTable>; 4] = [const { OnceLock::new() }; 4];
 
 /// The process-wide multiply *event* table for `fmt`: entry `(a, b)`
 /// holds [`Event8::bits`](crate::Event8::bits) of the status the scalar
@@ -117,16 +131,18 @@ static ADD_EVENT_TABLES: [OnceLock<BinaryTable>; 4] = [const { OnceLock::new() }
 /// the scalar tier at one extra load per MAC.
 #[inline]
 pub fn mul_event_table(fmt: Format8) -> &'static BinaryTable {
-    MUL_EVENT_TABLES[fmt.index()]
-        .get_or_init(|| BinaryTable::build(|a, b| fmt.mul_scalar_events(a, b).1.bits()))
+    cached(&MUL_EVENT_TABLES, fmt, |a, b| {
+        fmt.mul_scalar_events(a, b).1.bits()
+    })
 }
 
 /// The process-wide addition *event* table for `fmt` (see
 /// [`mul_event_table`]).
 #[inline]
 pub fn add_event_table(fmt: Format8) -> &'static BinaryTable {
-    ADD_EVENT_TABLES[fmt.index()]
-        .get_or_init(|| BinaryTable::build(|a, b| fmt.add_scalar_events(a, b).1.bits()))
+    cached(&ADD_EVENT_TABLES, fmt, |a, b| {
+        fmt.add_scalar_events(a, b).1.bits()
+    })
 }
 
 /// Cached multiply + add tables for one format: the unit the tensor
@@ -220,11 +236,11 @@ pub struct MacTable {
 impl MacTable {
     /// Builds the table for `m`.
     #[must_use]
+    #[expect(clippy::indexing_slicing, reason = "(w << 8) | a < 65536")]
     pub fn build(m: ApproxMultiplier) -> Self {
         let mut entries = Box::new([0u16; 65536]);
         for w in 0..=255u8 {
             for a in 0..=255u8 {
-                // lint: allow(no-panic): (w << 8) | a < 65536 by construction
                 entries[(usize::from(w) << 8) | usize::from(a)] =
                     m.multiply((w as i8).unsigned_abs(), a);
             }
@@ -235,8 +251,8 @@ impl MacTable {
     /// Looks up `sign(w) · m.multiply(|w|, a)`.
     #[inline(always)]
     #[must_use]
+    #[expect(clippy::indexing_slicing, reason = "(w << 8) | a < 65536")]
     pub fn mac(&self, w: i8, a: u8) -> i32 {
-        // lint: allow(no-panic): (w << 8) | a < 65536 by construction
         let p = i32::from(self.entries[(usize::from(w as u8) << 8) | usize::from(a)]);
         if w < 0 {
             -p
@@ -250,6 +266,7 @@ impl MacTable {
     /// once per weight and applies the sign of `w` itself.
     #[inline(always)]
     #[must_use]
+    #[expect(clippy::indexing_slicing, reason = "(w << 8) + 256 <= 65536")]
     pub fn row(&self, w: i8) -> &[u16] {
         let base = usize::from(w as u8) << 8;
         &self.entries[base..base + 256]
@@ -285,6 +302,7 @@ fn mac_index(m: ApproxMultiplier) -> usize {
 
 /// The process-wide MAC table for `m` (built on first use).
 #[inline]
+#[expect(clippy::indexing_slicing, reason = "mac_index(m) < MAC_VARIANTS")]
 pub fn mac_table(m: ApproxMultiplier) -> &'static MacTable {
     MAC_TABLES[mac_index(m)].get_or_init(|| MacTable::build(m))
 }

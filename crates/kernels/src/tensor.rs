@@ -5,6 +5,12 @@
 //! whatever row band (or, for f32, register tile) it falls in, so
 //! parallel results are bit-for-bit equal to serial ones.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "kernels index with i * n + j by design; every shape is \
+              checked once at entry (check_matmul_shapes, for_each_band)"
+)]
+
 use std::ops::Range;
 
 use crate::format8::Format8;
@@ -103,7 +109,6 @@ fn gemm_f32_rows(
 /// `R` output rows from global row `gi`: full `NR`-wide tiles, then the
 /// column tail.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn row_block<const R: usize>(
     a: &[f32],
     b: &[f32],
@@ -179,7 +184,7 @@ pub fn matmul_f32_parallel(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: u
 /// `(ky, kx)` at output position `(oy, ox)`.
 ///
 /// Returns `(oh, ow)`; `cols` is resized to `ch·kh·kw × oh·ow`.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "conv geometry as plain dims")]
 pub fn im2col(
     input: &[f32],
     ch: usize,
@@ -233,7 +238,7 @@ pub fn im2col(
 ///
 /// `cols` is scratch reused across calls to avoid re-allocating.
 /// Returns `(oh, ow)`.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "conv geometry as plain dims")]
 pub fn conv2d_f32(
     input: &[f32],
     ch: usize,
@@ -331,7 +336,7 @@ impl Mac8 for (&BinaryTable, &BinaryTable) {
 /// With `status`, events are tallied branch-free: the spread words are
 /// summed and folded into the counters after at most [`TALLY_CAPACITY`]
 /// ops, before any 9-bit lane can overflow.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "BLAS-style flat slices and dims")]
 fn rows<M: Mac8>(
     op: &M,
     status: bool,
@@ -373,7 +378,7 @@ fn rows<M: Mac8>(
 ///
 /// With `status`, the counters count one mul and one add event per MAC
 /// and are folded into the trace too; without, they are empty.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "BLAS-style flat slices and dims")]
 fn run<M: Mac8>(
     op: &M,
     span: &'static str,
@@ -440,7 +445,7 @@ pub fn matmul8_scalar(
 /// (same accumulation order as [`matmul8`]). This is the path the fault
 /// injector drives with deliberately corrupted tables, and the one the
 /// verified-LUT fallback in `nga-nn` uses after a checksum pass.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "BLAS-style flat slices and dims")]
 pub fn matmul8_tables(
     mul: &BinaryTable,
     add: &BinaryTable,
@@ -458,7 +463,7 @@ pub fn matmul8_tables(
 /// matmuls plus counters recording one mul and one add event per MAC.
 /// The event tables are seeded from the scalar event ops, so codes and
 /// counters are identical on every tier.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "BLAS-style flat slices and dims")]
 pub(crate) fn matmul8_status(
     tier: KernelTier,
     fmt: Format8,

@@ -1,7 +1,7 @@
 //! Shared test helpers for the kernels integration tests. Each test
 //! binary uses a subset of them.
 
-#![allow(dead_code)]
+#![allow(dead_code, reason = "each test binary uses only some of the helpers")]
 
 use nga_kernels::{Format8, StatusCounters};
 
@@ -61,7 +61,7 @@ pub fn naive_matmul_f32(
 /// ascending `(c, ky, kx)`, where a tap in the padding reads `0.0` and is
 /// still added (as im2col's zero row entries are). Returns the
 /// `[oc, oh, ow]` output and `(oh, ow)`.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "conv geometry as plain dims")]
 pub fn naive_conv2d_f32(
     input: &[f32],
     (ch, h, w): (usize, usize, usize),

@@ -28,7 +28,6 @@
 //!   mismatch, NaN-aware pooling/dense reductions in [`layers`], and the
 //!   poisoning metric used by the `nga-faults` harness.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod data;

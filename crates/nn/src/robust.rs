@@ -31,7 +31,7 @@ pub enum LutIntegrity {
 /// tier for `fmt`. Either way the output codes are bit-identical to
 /// [`matmul8_scalar`] (assuming the tables were built for `fmt`), and the
 /// return value says which path ran so callers can count degradations.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "BLAS-style flat slices and dims")]
 pub fn matmul8_verified(
     fmt: Format8,
     mul: &BinaryTable,

@@ -11,7 +11,7 @@
 //!   [`TraceReport::to_json`] is byte-reproducible across runs
 //!   (`scripts/check.sh` diffs two back-to-back emissions).
 //! * **No ambient state.** Nothing here reads the environment or the
-//!   clock (the `no-env-time` lint covers this crate); wall-clock timing
+//!   clock (`clippy.toml` bans both workspace-wide); wall-clock timing
 //!   stays in `nga-bench` and the tools. A trace records *what* was
 //!   computed, never *when*.
 //! * **Compiled out on demand.** With the `obs-off` cargo feature every
@@ -70,7 +70,15 @@
 //! assert_eq!(json.contains("\"demo/matmul\""), nga_obs::ENABLED);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 mod counters;
 mod report;

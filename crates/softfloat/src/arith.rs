@@ -17,7 +17,10 @@ pub(crate) type WithFlags = (SoftFloat, Flags);
 // `add`/`sub`/`mul`/`div` mirror the softfloat naming convention; the std
 // ops traits are unsuitable because operand formats must match at runtime
 // (they panic on mismatch) and the flag-returning variants are primary.
-#[allow(clippy::should_implement_trait)]
+#[expect(
+    clippy::should_implement_trait,
+    reason = "operand formats must match at runtime; see above"
+)]
 impl SoftFloat {
     /// The zero returned for an exact cancellation `x + (-x)`, `x != 0`:
     /// +0 in every rounding attribute except roundTowardNegative (-0),

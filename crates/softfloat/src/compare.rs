@@ -44,7 +44,10 @@ pub enum Relation {
 /// assert!(!res, "all ordered relations are false against NaN");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)] // variants follow the standard's naming scheme 1:1
+#[expect(
+    missing_docs,
+    reason = "variants follow the standard's naming scheme 1:1"
+)]
 pub enum ComparisonPredicate {
     // Table 5.1: quiet relations.
     QuietEqual,

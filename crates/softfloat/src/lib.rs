@@ -35,7 +35,15 @@
 //! assert!(!SoftFloat::from_f64(1.0e38, f16).is_finite()); // overflows to inf
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 #![warn(missing_docs)]
 
 mod analysis;

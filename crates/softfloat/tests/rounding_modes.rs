@@ -28,24 +28,6 @@ fn next_up_f16(x: f64) -> f64 {
     best
 }
 
-/// Next representable binary16 below `x` (symmetric to [`next_up_f16`]).
-#[allow(dead_code)]
-fn next_down_f16(x: f64) -> f64 {
-    let mut best = f64::NEG_INFINITY;
-    let f = SoftFloat::from_f64(x, BASE);
-    for delta in [1i64, -1] {
-        let bits = (f.bits() as i64 + delta) as u64 & 0xFFFF;
-        let c = SoftFloat::from_bits(bits, BASE);
-        if !c.is_nan() && c.to_f64() < x {
-            best = best.max(c.to_f64());
-        }
-    }
-    if f.to_f64() < x {
-        best = best.max(f.to_f64());
-    }
-    best
-}
-
 #[test]
 fn directed_conversions_bracket_the_exact_value() {
     // Sweep exact f64 values (not representable in f16); RD <= x <= RU,

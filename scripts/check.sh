@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Tier-1 gate: release build, full test suite, invariant lint, clippy clean.
+# Tier-1 gate: release build, full test suite, invariant lint, clippy clean
+# (the workspace and a fixture crate whose seeded violations it must catch).
 # Usage: scripts/check.sh
 set -eu
 cd "$(dirname "$0")/.."
@@ -26,8 +27,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline -q --workspace --no-deps
 # and check each item bit for bit, so a library change that breaks them
 # fails here, not only when the benchmark runs.
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
-# Workspace invariants (bit-exactness, panic-freedom, LUT/kernel
-# consistency): fails on any finding and refreshes LINT_REPORT.json.
+# Workspace invariants that rustc and clippy cannot express (no host
+# floats in the bit-exact cores, LUT/kernel consistency, one tier-
+# selection source): fails on any finding and refreshes LINT_REPORT.json.
 cargo run -q --release -p nga-lint -- --json
 # Differential oracle quick sweep (~50M cases): fails on any mismatch
 # between the datapaths and the exact-arithmetic reference, and
@@ -60,4 +62,16 @@ cmp TRACE_REPORT.quick.json TRACE_REPORT.quick.json.rerun || {
     exit 1
 }
 rm -f TRACE_REPORT.quick.json.rerun
-cargo clippy --workspace -- -D warnings
+# Clippy over every target (tests, benches and examples too), warnings
+# as errors. It also enforces the invariants handed to the compiler: no
+# unsafe ([workspace.lints.rust] in Cargo.toml), a reason on every
+# #[allow], panic-free arithmetic crates (the deny list in their crate
+# roots) and no ambient env/clock reads (clippy.toml).
+cargo clippy --workspace --all-targets -- -D warnings
+# Again with recording compiled out: crates/obs/src/disabled.rs is only
+# built under obs-off.
+cargo clippy -p nga-obs -p nga-kernels -p nga-nn --all-targets \
+    --features nga-obs/obs-off,nga-kernels/obs-off,nga-nn/obs-off -- -D warnings
+# Those compiler-enforced rules must still fire: clippy must report each
+# seeded violation in nga-lint's clippy fixture crate at its line.
+scripts/clippy-fixture.sh

@@ -39,7 +39,6 @@
 //! assert!((p.to_f64() - x).abs() < (b.to_f64() - x).abs());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use nga_approx as approx;

@@ -17,7 +17,6 @@
 //! - [`sweep`]: the deterministic task list and thread-sharded runner.
 //! - [`report`]: integer-unit rows and deterministic JSON.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codec;

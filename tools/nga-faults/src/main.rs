@@ -19,6 +19,7 @@ struct Cli {
     json: Option<Option<String>>,
 }
 
+#[expect(clippy::disallowed_methods, reason = "the CLI's argument parser")]
 fn parse_args() -> Result<Cli, String> {
     let mut opts = Options {
         quick: false,

@@ -2,9 +2,8 @@
 //!
 //! The build environment is dependency-free, so this module parses the
 //! small TOML subset the policy file actually uses: `[section.sub]`
-//! headers, `key = "string"`, `key = 123`, `key = true|false`, and
-//! `key = ["a", "b"]` arrays of strings (single- or multi-line), plus
-//! `#` comments.
+//! headers, `key = "string"`, `key = 123` and `key = ["a", "b"]`
+//! arrays of strings (single- or multi-line), plus `#` comments.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -15,7 +14,6 @@ use std::path::Path;
 pub enum Value {
     Str(String),
     Int(u64),
-    Bool(bool),
     List(Vec<String>),
 }
 
@@ -41,7 +39,7 @@ pub struct RulePolicy {
     pub paths: Vec<String>,
     /// Path prefixes exempt from the rule (conversion shims, benches …).
     pub allow_paths: Vec<String>,
-    /// Extra per-rule keys (e.g. `check_indexing`).
+    /// Extra per-rule keys (e.g. `dispatch_file`).
     pub extra: BTreeMap<String, Value>,
 }
 
@@ -51,15 +49,6 @@ impl RulePolicy {
     pub fn applies_to(&self, rel: &str) -> bool {
         self.paths.iter().any(|p| path_has_prefix(rel, p))
             && !self.allow_paths.iter().any(|p| path_has_prefix(rel, p))
-    }
-
-    /// Boolean policy key with a default.
-    #[must_use]
-    pub fn flag(&self, key: &str, default: bool) -> bool {
-        match self.extra.get(key) {
-            Some(Value::Bool(b)) => *b,
-            _ => default,
-        }
     }
 
     /// String policy key.
@@ -79,20 +68,11 @@ impl RulePolicy {
             _ => None,
         }
     }
-
-    /// String-list policy key (empty slice when absent).
-    #[must_use]
-    pub fn list(&self, key: &str) -> &[String] {
-        match self.extra.get(key) {
-            Some(Value::List(v)) => v,
-            _ => &[],
-        }
-    }
 }
 
 /// Whether `rel` equals `prefix` or sits underneath it as a directory.
 #[must_use]
-pub fn path_has_prefix(rel: &str, prefix: &str) -> bool {
+fn path_has_prefix(rel: &str, prefix: &str) -> bool {
     rel == prefix
         || rel
             .strip_prefix(prefix)
@@ -252,12 +232,6 @@ fn strip_comment(line: &str) -> &str {
 }
 
 fn parse_value(v: &str, line: usize) -> Result<Value, ConfigError> {
-    if v == "true" {
-        return Ok(Value::Bool(true));
-    }
-    if v == "false" {
-        return Ok(Value::Bool(false));
-    }
     if let Some(inner) = v.strip_prefix('[') {
         let inner = inner.strip_suffix(']').ok_or_else(|| ConfigError {
             line,
@@ -329,10 +303,6 @@ exclude = ["target", "tools/nga-lint/tests/fixtures"]
 paths = ["crates/core/src", "crates/softfloat/src"]
 allow_paths = ["crates/softfloat/src/value.rs"]
 
-[rules.no-panic]
-paths = ["crates/core/src"]
-check_indexing = true
-
 [rules.kernel-consistency]
 dispatch_file = "crates/kernels/src/kernel.rs"
 code_bits = 8
@@ -346,7 +316,6 @@ code_bits = 8
         assert!(r1.applies_to("crates/softfloat/src/arith.rs"));
         assert!(!r1.applies_to("crates/softfloat/src/value.rs"));
         assert!(!r1.applies_to("crates/nn/src/layers.rs"));
-        assert!(cfg.rule("no-panic").flag("check_indexing", false));
         assert_eq!(
             cfg.rule("kernel-consistency").string("dispatch_file"),
             Some("crates/kernels/src/kernel.rs")
@@ -357,12 +326,12 @@ code_bits = 8
     #[test]
     fn multi_line_arrays_with_comments() {
         let cfg = Config::parse(
-            "[rules.no-panic]\npaths = [\n    \"a/b\",  # first\n    \"c/d\",\n]\ncheck_indexing = true\n",
+            "[rules.no-host-float]\npaths = [\n    \"a/b\",  # first\n    \"c/d\",\n]\ncode_bits = 8\n",
         )
         .expect("parses");
-        let p = cfg.rule("no-panic");
+        let p = cfg.rule("no-host-float");
         assert_eq!(p.paths, ["a/b", "c/d"]);
-        assert!(p.flag("check_indexing", false));
+        assert_eq!(p.int("code_bits"), Some(8));
     }
 
     #[test]

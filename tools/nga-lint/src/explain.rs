@@ -20,27 +20,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              `// lint: allow-start(no-host-float): <why this is a conversion boundary>`\n\
              … `// lint: allow-end(no-host-float)`.",
         ),
-        rules::NO_PANIC => Some(
-            "no-panic (R2)\n\
-             =============\n\
-             Library paths of the arithmetic crates must be panic-free: arithmetic on\n\
-             edge devices has no business aborting. Flags `.unwrap()`, `.expect(…)`,\n\
-             `panic!`, `unreachable!`, `todo!`, `unimplemented!`, and — when\n\
-             `check_indexing = true` — single-element slice indexing whose index\n\
-             expression contains arithmetic (`v[i * n + j]`). Range slicing is not\n\
-             flagged. `assert!`-style documented preconditions are deliberate API\n\
-             contracts and stay allowed.\n\n\
-             Escape hatch (reason required):\n\
-             `// lint: allow(no-panic): index in bounds by construction, see shape check`.",
-        ),
-        rules::NO_UNSAFE => Some(
-            "no-unsafe (R3)\n\
-             ==============\n\
-             No `unsafe` anywhere in the workspace, tests included — bit-exactness\n\
-             claims are only as strong as the memory model they sit on. Also verifies\n\
-             each configured crate root carries `#![forbid(unsafe_code)]` so the\n\
-             compiler enforces the same invariant.",
-        ),
         rules::KERNEL_CONSISTENCY => Some(
             "kernel-consistency (R4)\n\
              =======================\n\
@@ -49,18 +28,10 @@ pub fn explain(rule: &str) -> Option<&'static str> {
                suite must name `KernelTier::ALL` or each variant (an untested tier is a\n\
                silent correctness hole; the compiler already checks that every dispatch\n\
                `match` covers each variant);\n\
-             * per-format LUT cache arrays (`[OnceLock<…>; N]`) must have exactly one\n\
-               slot per `Format8` variant, matching `Format8::ALL`;\n\
+             * `Format8::ALL` must list every format variant (the per-format LUT\n\
+               caches take their length from it, so rustc sizes them);\n\
              * LUT entry arrays must hold `(1 << code_bits)²` entries — the exhaustive\n\
                size implied by 8-bit codes (65 536).",
-        ),
-        rules::NO_ENV_TIME => Some(
-            "no-env-time (R5)\n\
-             ================\n\
-             Reproducibility: numeric results must be a function of inputs alone.\n\
-             Flags `std::env`/`std::time` paths and `Instant`/`SystemTime` uses outside\n\
-             the allowlisted kernel-selection module (`NGA_KERNEL`/`NGA_THREADS`\n\
-             plumbing) and the bench crate.",
         ),
         rules::CTX_SINGLE_SOURCE => Some(
             "ctx-single-source (R6)\n\
@@ -80,7 +51,11 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              Escape hatches are part of the audit surface, so they are themselves\n\
              checked: `// lint: allow(<rule>): <reason>` needs a non-empty reason and a\n\
              known rule id; `allow-start` must be closed by `allow-end`. A malformed\n\
-             annotation is a finding, never a silent no-op.",
+             annotation is a finding, never a silent no-op.\n\n\
+             The rules rustc and clippy enforce (no `unsafe`, panic-freedom, no\n\
+             ambient environment or clock reads) take `#[expect(<lint>, reason = \"…\")]`\n\
+             waivers instead: clippy rejects a reason-less `#[allow]`, and rustc\n\
+             reports an `#[expect]` whose lint no longer fires.",
         ),
         _ => None,
     }

@@ -4,8 +4,8 @@
 //! * `KernelTier::ALL` must list every tier variant (the compiler already
 //!   checks that each dispatch `match` covers them all), and the
 //!   equivalence-test suite must name `KernelTier::ALL` or each variant.
-//! * The per-format LUT cache arrays must have one slot per `Format8`
-//!   variant (and match the `ALL` constant's declared length).
+//! * `Format8::ALL` must list every format variant. The per-format LUT
+//!   caches take their length from it, so rustc sizes them to the enum.
 //! * LUT entry counts must equal `(1 << code_bits)²` — the exhaustive
 //!   table size implied by the 8-bit format width.
 
@@ -119,7 +119,7 @@ fn check_all_len(
 }
 
 /// Array-length literals for `[<elem>; N]` where `elem` is an identifier
-/// in `elems`: returns `(line, N)` per occurrence.
+/// in `elems`: returns `(line, elem, N)` per occurrence.
 fn sized_arrays(lexed: &Lexed, elems: &[&str]) -> Vec<(usize, String, u128)> {
     let toks = &lexed.toks;
     let mut out = Vec::new();
@@ -131,29 +131,10 @@ fn sized_arrays(lexed: &Lexed, elems: &[&str]) -> Vec<(usize, String, u128)> {
         if e.kind != TokKind::Ident || !elems.contains(&e.text.as_str()) {
             continue;
         }
-        // `[u8; N]` directly, or `[OnceLock<T>; N]` with a generic hop.
-        let mut j = i + 2;
-        if is_punct(toks.get(j), b'<') {
-            let mut depth = 0usize;
-            while j < toks.len() {
-                match toks[j].kind {
-                    TokKind::Punct(b'<') => depth += 1,
-                    TokKind::Punct(b'>') => {
-                        depth -= 1;
-                        if depth == 0 {
-                            j += 1;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-        }
-        if !is_punct(toks.get(j), b';') {
+        if !is_punct(toks.get(i + 2), b';') {
             continue;
         }
-        let Some(n) = toks.get(j + 1) else { continue };
+        let Some(n) = toks.get(i + 3) else { continue };
         if let Some(v) = int_value(&n.text) {
             out.push((n.line, e.text.clone(), v));
         }
@@ -202,37 +183,13 @@ pub fn run(root: &Path, policy: &RulePolicy, out: &mut Vec<Finding>) {
         }
     }
 
-    // 3. LUT cache arrays sized to the format enum; table sizes match
-    //    the code width.
+    // 3. `Format8::ALL` lists every format (the LUT caches are sized by
+    //    it); table sizes match the code width.
     let enum_file = policy.string("format_enum_file").unwrap_or_default();
     let enum_name = policy.string("format_enum").unwrap_or("Format8");
     let table_file = policy.string("table_file").unwrap_or_default();
-    let nvariants = check_all_len(root, enum_file, enum_name, out).map(|v| v.len());
+    check_all_len(root, enum_file, enum_name, out);
     if let Some(lexed) = read_lexed(root, table_file, out) {
-        if let Some(n) = nvariants {
-            let caches = sized_arrays(&lexed, &["OnceLock"]);
-            if caches.is_empty() {
-                out.push(finding(
-                    table_file,
-                    0,
-                    "no `[OnceLock<…>; N]` per-format cache arrays found".to_string(),
-                ));
-            }
-            for (line, _, len) in &caches {
-                if *len != n as u128 && *len < 16 {
-                    // Small OnceLock arrays are the per-format caches; large
-                    // ones (e.g. per-approx-multiplier) are exempt.
-                    out.push(finding(
-                        table_file,
-                        *line,
-                        format!(
-                            "per-format cache array has {len} slots but `{enum_name}` has \
-                             {n} variants"
-                        ),
-                    ));
-                }
-            }
-        }
         let expected = 1u128 << (2 * code_bits);
         let tables = sized_arrays(&lexed, &["u8", "i8", "u16", "i16", "u32", "i32"]);
         if tables.is_empty() {
@@ -274,13 +231,9 @@ mod tests {
     fn reads_all_len_and_sized_arrays() {
         let lexed = lex(
             "pub const ALL: [Self; 4] = [];\n\
-             static M: [OnceLock<BinaryTable>; 4] = x;\n\
              struct T { e: Box<[u8; 65536]> }\n",
         );
         assert_eq!(all_len(&lexed).map(|(_, n)| n), Some(4));
-        let arrays = sized_arrays(&lexed, &["OnceLock"]);
-        assert_eq!(arrays.len(), 1);
-        assert_eq!(arrays[0].2, 4);
         let luts = sized_arrays(&lexed, &["u8"]);
         assert_eq!(luts.len(), 1);
         assert_eq!(luts[0].2, 65536);

@@ -1,21 +1,22 @@
 //! nga-lint: the workspace invariant checker.
 //!
-//! A dependency-free static-analysis pass that makes the repo's
-//! methodological claims machine-checked on every build:
+//! A dependency-free static-analysis pass for the invariants rustc and
+//! clippy cannot express, run on every build:
 //!
 //! * **R1 `no-host-float`** — no host-FPU types/literals/casts in the
 //!   bit-exact cores outside explicit conversion boundaries.
-//! * **R2 `no-panic`** — no `unwrap`/`expect`/`panic!`/`unreachable!`/
-//!   computed indexing in arithmetic-crate library paths.
-//! * **R3 `no-unsafe`** — no `unsafe` anywhere; crate roots must carry
-//!   `#![forbid(unsafe_code)]`.
 //! * **R4 `kernel-consistency`** — `KernelTier::ALL` lists every tier and
-//!   the equivalence tests run them; LUT shapes agree with the format enum.
-//! * **R5 `no-env-time`** — no ambient `std::env`/`std::time` reads
-//!   outside kernel selection and benches.
+//!   the equivalence tests run them; `Format8::ALL` lists every format;
+//!   LUT sizes agree with the code width.
 //! * **R6 `ctx-single-source`** — `NGA_KERNEL` is read in exactly one
 //!   place (`KernelTier::from_env`); tier selection elsewhere must go
 //!   through `KernelTier`/`ArithCtx::with_tier`.
+//!
+//! The compiler enforces the rest: no `unsafe` (R3, the workspace
+//! `unsafe_code = "forbid"` lint), panic-freedom of the arithmetic crates
+//! (R2, clippy lints denied in their crate roots) and no ambient
+//! environment or clock reads (R5, `clippy.toml`). Their waivers are
+//! `#[expect(<lint>, reason = "…")]` attributes.
 //!
 //! Policy lives in `lint.toml`; per-site waivers use
 //! `// lint: allow(<rule>): <reason>` annotations (reason mandatory).
@@ -42,23 +43,13 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> LintResult {
     let files = walk::rs_files(root, &|rel| cfg.excluded(rel));
 
     let host_float = cfg.rule(rules::NO_HOST_FLOAT);
-    let no_panic = cfg.rule(rules::NO_PANIC);
-    let no_unsafe = cfg.rule(rules::NO_UNSAFE);
-    let env_time = cfg.rule(rules::NO_ENV_TIME);
     let ctx_single = cfg.rule(rules::CTX_SINGLE_SOURCE);
-    let forbid_roots = no_unsafe.list("forbid_attr_crate_roots").to_vec();
-    let check_indexing = no_panic.flag("check_indexing", false);
-    let indexing_allow = no_panic.list("indexing_allow_paths").to_vec();
 
     let mut files_scanned = 0usize;
     for rel in &files {
         let r1 = host_float.applies_to(rel);
-        let r2 = no_panic.applies_to(rel);
-        let r3 = no_unsafe.applies_to(rel);
-        let r5 = env_time.applies_to(rel);
         let r6 = ctx_single.applies_to(rel);
-        let forbid = forbid_roots.iter().any(|p| p == rel);
-        if !(r1 || r2 || r3 || r5 || r6 || forbid) {
+        if !(r1 || r6) {
             continue;
         }
         let Ok(src) = std::fs::read_to_string(root.join(rel)) else {
@@ -74,22 +65,6 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> LintResult {
         let ctx = FileContext::new(rel, &src, &mut findings);
         if r1 {
             rules::scan_host_float(&ctx, &mut findings);
-        }
-        if r2 {
-            let idx = check_indexing
-                && !indexing_allow
-                    .iter()
-                    .any(|p| config::path_has_prefix(rel, p));
-            rules::scan_panic(&ctx, idx, &mut findings);
-        }
-        if r3 {
-            rules::scan_unsafe(&ctx, &mut findings);
-        }
-        if forbid {
-            rules::check_forbid_attr(&ctx, &mut findings);
-        }
-        if r5 {
-            rules::scan_env_time(&ctx, &mut findings);
         }
         if r6 {
             rules::scan_ctx_single_source(&ctx, &mut findings);

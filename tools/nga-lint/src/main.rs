@@ -20,6 +20,7 @@ struct Args {
     quiet: bool,
 }
 
+#[expect(clippy::disallowed_methods, reason = "the CLI's argument parser")]
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         config: PathBuf::from("lint.toml"),

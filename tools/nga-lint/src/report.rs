@@ -6,7 +6,7 @@ use std::fmt;
 /// One lint violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id (`no-host-float`, `no-panic`, …).
+    /// Rule id (`no-host-float`, `kernel-consistency`, …).
     pub rule: &'static str,
     /// Workspace-relative path.
     pub path: String,
@@ -125,10 +125,10 @@ mod tests {
         let mut r = LintResult {
             findings: vec![
                 Finding {
-                    rule: "no-panic",
+                    rule: "ctx-single-source",
                     path: "b.rs".into(),
                     line: 2,
-                    message: "call to `unwrap()`".into(),
+                    message: "`NGA_KERNEL` outside `KernelTier::from_env`".into(),
                 },
                 Finding {
                     rule: "no-host-float",
@@ -144,7 +144,7 @@ mod tests {
         let j = r.to_json();
         assert!(j.contains("\"status\": \"findings\""));
         assert!(j.contains("\\\"1.5\\\""));
-        assert!(j.contains("\"no-panic\": 1"));
+        assert!(j.contains("\"ctx-single-source\": 1"));
     }
 
     #[test]

@@ -12,15 +12,8 @@ use crate::report::Finding;
 
 /// R1: host-FPU types, casts and float literals in bit-exact cores.
 pub const NO_HOST_FLOAT: &str = "no-host-float";
-/// R2: `unwrap`/`expect`/`panic!`/`unreachable!`/computed indexing in
-/// library paths.
-pub const NO_PANIC: &str = "no-panic";
-/// R3: `unsafe` anywhere (plus `#![forbid(unsafe_code)]` on crate roots).
-pub const NO_UNSAFE: &str = "no-unsafe";
 /// R4: kernel registration / LUT-shape cross-file consistency.
 pub const KERNEL_CONSISTENCY: &str = "kernel-consistency";
-/// R5: `std::env` / `std::time` reads outside kernel-selection/benches.
-pub const NO_ENV_TIME: &str = "no-env-time";
 /// R6: `"NGA_KERNEL"` mentioned anywhere but the one documented
 /// fallback read (`KernelTier::from_env`).
 pub const CTX_SINGLE_SOURCE: &str = "ctx-single-source";
@@ -30,10 +23,7 @@ pub const LINT_ANNOTATION: &str = "lint-annotation";
 /// Every rule id (the `--explain` index).
 pub const ALL_RULES: &[&str] = &[
     NO_HOST_FLOAT,
-    NO_PANIC,
-    NO_UNSAFE,
     KERNEL_CONSISTENCY,
-    NO_ENV_TIME,
     CTX_SINGLE_SOURCE,
     LINT_ANNOTATION,
 ];
@@ -303,10 +293,6 @@ fn is_punct(t: Option<&Tok>, c: u8) -> bool {
     matches!(t, Some(tok) if tok.kind == TokKind::Punct(c))
 }
 
-fn is_ident(t: Option<&Tok>, name: &str) -> bool {
-    matches!(t, Some(tok) if tok.kind == TokKind::Ident && tok.text == name)
-}
-
 /// Emits `f` unless the line is in a test item or waived.
 fn emit(
     ctx: &FileContext,
@@ -359,187 +345,6 @@ pub fn scan_host_float(ctx: &FileContext, out: &mut Vec<Finding>) {
                 format!("host float type `{}` in a bit-exact core", t.text),
             ),
             _ => {}
-        }
-    }
-}
-
-/// R2: flags `.unwrap()`, `.expect(…)`, `panic!`, `unreachable!`,
-/// `todo!`, `unimplemented!` and (optionally) computed slice indexing in
-/// non-test code.
-pub fn scan_panic(ctx: &FileContext, check_indexing: bool, out: &mut Vec<Finding>) {
-    let toks = &ctx.lexed.toks;
-    let mut seen = BTreeSet::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let name = t.text.as_str();
-        let method_call = i > 0
-            && is_punct(toks.get(i - 1), b'.')
-            && is_punct(toks.get(i + 1), b'(');
-        if method_call && (name == "unwrap" || name == "expect") {
-            emit(
-                ctx,
-                out,
-                &mut seen,
-                NO_PANIC,
-                t.line,
-                true,
-                format!("call to `.{name}()` in library code"),
-            );
-        }
-        if matches!(name, "panic" | "unreachable" | "todo" | "unimplemented")
-            && is_punct(toks.get(i + 1), b'!')
-        {
-            emit(
-                ctx,
-                out,
-                &mut seen,
-                NO_PANIC,
-                t.line,
-                true,
-                format!("`{name}!` in library code"),
-            );
-        }
-    }
-    if check_indexing {
-        scan_computed_index(ctx, &mut seen, out);
-    }
-}
-
-/// The computed-index half of R2: `x[i + 1]`-style indexing whose index
-/// expression contains arithmetic. Range indexing (`x[a..b]`) is not
-/// flagged — slicing is structural and shape-checked at kernel entry in
-/// this workspace.
-fn scan_computed_index(
-    ctx: &FileContext,
-    seen: &mut BTreeSet<(usize, String)>,
-    out: &mut Vec<Finding>,
-) {
-    let toks = &ctx.lexed.toks;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Punct(b'[') || i == 0 {
-            continue;
-        }
-        // Only expression-position indexing: `ident[…]`, `)[…]`, `][…]`.
-        let prev = &toks[i - 1];
-        let indexes_value = prev.kind == TokKind::Ident
-            && !matches!(
-                prev.text.as_str(),
-                // Type-position / macro-adjacent idents that precede `[`.
-                "dyn" | "impl" | "mut" | "as" | "in" | "return" | "else"
-            )
-            || matches!(prev.kind, TokKind::Punct(b')') | TokKind::Punct(b']'));
-        if !indexes_value {
-            continue;
-        }
-        let mut depth = 0usize;
-        let mut has_arith = false;
-        let mut has_range = false;
-        let mut k = i;
-        while k < toks.len() {
-            match toks[k].kind {
-                TokKind::Punct(b'[') => depth += 1,
-                TokKind::Punct(b']') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                TokKind::Punct(b'+' | b'*' | b'%' | b'-') => has_arith = true,
-                TokKind::Punct(b'<') if is_punct(toks.get(k + 1), b'<') => has_arith = true,
-                TokKind::Punct(b'.') if is_punct(toks.get(k + 1), b'.') => has_range = true,
-                _ => {}
-            }
-            k += 1;
-        }
-        if has_arith && !has_range {
-            emit(
-                ctx,
-                out,
-                seen,
-                NO_PANIC,
-                t.line,
-                true,
-                "computed slice index (panics when out of bounds)".to_string(),
-            );
-        }
-    }
-}
-
-/// R3: flags the `unsafe` keyword anywhere, tests included.
-pub fn scan_unsafe(ctx: &FileContext, out: &mut Vec<Finding>) {
-    let mut seen = BTreeSet::new();
-    for t in &ctx.lexed.toks {
-        if t.kind == TokKind::Ident && t.text == "unsafe" {
-            emit(
-                ctx,
-                out,
-                &mut seen,
-                NO_UNSAFE,
-                t.line,
-                false,
-                "`unsafe` is forbidden across the workspace".to_string(),
-            );
-        }
-    }
-}
-
-/// The crate-root half of R3: every listed crate root must carry
-/// `#![forbid(unsafe_code)]`.
-pub fn check_forbid_attr(ctx: &FileContext, out: &mut Vec<Finding>) {
-    let toks = &ctx.lexed.toks;
-    let has = toks.iter().enumerate().any(|(i, t)| {
-        is_ident(Some(t), "forbid")
-            && is_punct(toks.get(i + 1), b'(')
-            && is_ident(toks.get(i + 2), "unsafe_code")
-    });
-    if !has {
-        out.push(Finding {
-            rule: NO_UNSAFE,
-            path: ctx.rel.clone(),
-            line: 1,
-            message: "crate root is missing `#![forbid(unsafe_code)]`".to_string(),
-        });
-    }
-}
-
-/// R5: flags `std::env` / `std::time` paths and `Instant` /
-/// `SystemTime` uses (reproducibility: only kernel selection and the
-/// bench crate may read ambient state).
-pub fn scan_env_time(ctx: &FileContext, out: &mut Vec<Finding>) {
-    let toks = &ctx.lexed.toks;
-    let mut seen = BTreeSet::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let std_path = is_ident(Some(t), "std")
-            && is_punct(toks.get(i + 1), b':')
-            && is_punct(toks.get(i + 2), b':')
-            && (is_ident(toks.get(i + 3), "env") || is_ident(toks.get(i + 3), "time"));
-        if std_path {
-            let m = &toks[i + 3].text;
-            emit(
-                ctx,
-                out,
-                &mut seen,
-                NO_ENV_TIME,
-                t.line,
-                true,
-                format!("`std::{m}` read outside kernel-selection/bench code"),
-            );
-        }
-        if t.text == "Instant" || t.text == "SystemTime" {
-            emit(
-                ctx,
-                out,
-                &mut seen,
-                NO_ENV_TIME,
-                t.line,
-                true,
-                format!("`{}` (wall-clock) outside kernel-selection/bench code", t.text),
-            );
         }
     }
 }
@@ -600,37 +405,23 @@ mod tests {
     }
 
     #[test]
-    fn panic_rule_flags_the_banned_forms() {
-        let src = "fn f(v: &[u8], i: usize) -> u8 {\n    let x = v.first().unwrap();\n    let y: Option<u8> = None; y.expect(\"boom\");\n    if i > 9 { panic!(\"no\") }\n    if i > 8 { unreachable!() }\n    v[i + 1]\n}\n";
-        let (c, mut out) = ctx(src);
-        scan_panic(&c, true, &mut out);
-        let n = out.iter().filter(|f| f.rule == NO_PANIC).count();
-        assert_eq!(n, 5, "{out:?}");
-    }
-
-    #[test]
-    fn plain_and_range_indexing_are_not_flagged() {
-        let src = "fn f(v: &[u8], i: usize) -> u8 { let _s = &v[1..i * 2]; v[i] }\n";
-        let (c, mut out) = ctx(src);
-        scan_panic(&c, true, &mut out);
-        assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
     fn allow_annotation_waives_next_line_with_reason() {
-        let src = "fn f(v: &[u8]) -> u8 {\n    // lint: allow(no-panic): length checked by caller contract\n    v.first().unwrap()\n}\n";
+        let src = "// lint: allow(no-host-float): a reporting boundary\nfn f() -> f64 { 1.0 }\nfn g() -> f64 { 2.0 }\n";
         let (c, mut out) = ctx(src);
         assert!(out.is_empty(), "{out:?}");
-        scan_panic(&c, true, &mut out);
-        assert!(out.is_empty(), "{out:?}");
+        scan_host_float(&c, &mut out);
+        assert_eq!(out.len(), 2, "{out:?}"); // only line 3: `f64` + `2.0`
+        assert!(out.iter().all(|f| f.line == 3), "{out:?}");
     }
 
     #[test]
-    fn allow_without_reason_is_itself_a_finding() {
-        let src = "// lint: allow(no-panic)\nfn f() {}\n";
-        let (_, out) = ctx(src);
+    fn allow_without_reason_is_itself_a_finding_and_waives_nothing() {
+        let src = "// lint: allow(no-host-float)\nfn f() -> f64 { 0 }\n";
+        let (c, mut out) = ctx(src);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].rule, LINT_ANNOTATION);
+        scan_host_float(&c, &mut out);
+        assert!(out.iter().any(|f| f.rule == NO_HOST_FLOAT && f.line == 2), "{out:?}");
     }
 
     #[test]
@@ -653,36 +444,9 @@ mod tests {
 
     #[test]
     fn unclosed_region_is_reported() {
-        let src = "// lint: allow-start(no-panic): oops\nfn f() {}\n";
+        let src = "// lint: allow-start(no-host-float): oops\nfn f() {}\n";
         let (_, out) = ctx(src);
         assert_eq!(out.len(), 1);
         assert!(out[0].message.contains("never closed"));
-    }
-
-    #[test]
-    fn unsafe_is_flagged_even_in_tests() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn f() { unsafe { std::hint::unreachable_unchecked() } }\n}\n";
-        let (c, mut out) = ctx(src);
-        scan_unsafe(&c, &mut out);
-        assert_eq!(out.iter().filter(|f| f.rule == NO_UNSAFE).count(), 1);
-    }
-
-    #[test]
-    fn forbid_attr_presence() {
-        let (c, mut out) = ctx("#![forbid(unsafe_code)]\nfn f() {}\n");
-        check_forbid_attr(&c, &mut out);
-        assert!(out.is_empty());
-        let (c, mut out) = ctx("fn f() {}\n");
-        check_forbid_attr(&c, &mut out);
-        assert_eq!(out.len(), 1);
-    }
-
-    #[test]
-    fn env_time_paths_are_flagged_once_per_line() {
-        let src = "fn f() -> bool { std::env::var(\"X\").is_ok() }\nfn t() { let _i = std::time::Instant::now(); }\n";
-        let (c, mut out) = ctx(src);
-        scan_env_time(&c, &mut out);
-        assert_eq!(out.len(), 3, "{out:?}"); // env, std::time, Instant
-        assert_eq!(out.iter().filter(|f| f.line == 2).count(), 2);
     }
 }

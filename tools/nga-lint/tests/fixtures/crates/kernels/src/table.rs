@@ -1,12 +1,8 @@
 //! Fixture: LUT storage; code_bits = 2, so tables must have 16 entries.
 
-use std::sync::OnceLock;
-
 pub struct Table {
     pub entries: [u8; 16],
 }
-
-pub static CACHES: [OnceLock<Table>; 2] = [OnceLock::new(), OnceLock::new()];
 
 pub struct WrongTable {
     pub entries: [u8; 64],

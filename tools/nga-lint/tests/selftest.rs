@@ -1,6 +1,9 @@
 //! Fixture self-tests: every rule must fire on the seeded violations in
 //! `tests/fixtures/` with the right rule id and file:line — and the real
-//! workspace must lint clean.
+//! workspace must lint clean. The rules rustc and clippy enforce have
+//! their own fixture crate (`tests/fixtures/clippy/`, gated by
+//! `scripts/clippy-fixture.sh`); the tests here keep its copy of the
+//! workspace lint policy in step with the real one.
 
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -11,6 +14,18 @@ use nga_lint::report::Finding;
 
 fn fixtures_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
+}
+
+fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("workspace root")
+        .to_path_buf()
+}
+
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
 fn fixture_findings() -> &'static [Finding] {
@@ -46,6 +61,18 @@ fn assert_silent(rule: &str, path: &str) {
     assert!(hits.is_empty(), "unexpected [{rule}] findings: {hits:?}");
 }
 
+#[track_caller]
+fn assert_silent_at(path: &str, line: usize) {
+    let hits: Vec<_> = fixture_findings()
+        .iter()
+        .filter(|f| f.path == path && f.line == line)
+        .collect();
+    assert!(
+        hits.is_empty(),
+        "unexpected findings at {path}:{line}: {hits:?}"
+    );
+}
+
 #[test]
 fn injected_f64_op_is_flagged_with_file_and_line() {
     // `a as f64 * b as f64` and the `1.5` literal.
@@ -59,55 +86,13 @@ fn allowlisted_conversion_module_is_exempt() {
 }
 
 #[test]
-fn hidden_unwrap_expect_and_computed_index_are_flagged() {
-    assert_fires("no-panic", "crates/core/src/ops.rs", 4); // v.unwrap()
-    assert_fires("no-panic", "crates/core/src/ops.rs", 8); // v.expect(…)
-    assert_fires("no-panic", "crates/core/src/ops.rs", 12); // v[i * 2 + 1]
-}
-
-#[test]
 fn reasoned_waiver_suppresses_and_reasonless_waiver_is_itself_flagged() {
-    // Line 17 carries `// lint: allow(no-panic): <reason>`.
-    assert!(
-        !fixture_findings()
-            .iter()
-            .any(|f| f.path == "crates/core/src/ops.rs" && f.line == 17),
-        "properly waived unwrap must not fire"
-    );
-    // Line 21 is `// lint: allow(no-panic)` without a reason: the
+    // Line 4 carries `// lint: allow(no-host-float): <reason>`.
+    assert_silent_at("crates/softfloat/src/waivers.rs", 5);
+    // Line 9 is `// lint: allow(no-host-float)` without a reason: the
     // annotation itself is a finding and grants no waiver.
-    assert_fires("lint-annotation", "crates/core/src/ops.rs", 21);
-    assert_fires("no-panic", "crates/core/src/ops.rs", 22);
-}
-
-#[test]
-fn test_code_may_panic() {
-    let in_tests: Vec<_> = fixture_findings()
-        .iter()
-        .filter(|f| f.path == "crates/core/src/ops.rs" && f.line > 24)
-        .collect();
-    assert!(
-        in_tests.is_empty(),
-        "#[cfg(test)] region must be exempt from no-panic: {in_tests:?}"
-    );
-}
-
-#[test]
-fn unsafe_block_and_missing_forbid_attr_are_flagged() {
-    assert_fires("no-unsafe", "crates/core/src/danger.rs", 4);
-    assert!(
-        fixture_findings()
-            .iter()
-            .any(|f| f.rule == "no-unsafe" && f.path == "crates/softfloat/src/lib.rs"),
-        "crate root without #![forbid(unsafe_code)] must be flagged"
-    );
-    assert_silent("no-unsafe", "crates/core/src/lib.rs");
-}
-
-#[test]
-fn ambient_env_and_time_reads_are_flagged() {
-    assert_fires("no-env-time", "crates/core/src/clock.rs", 4); // std::env::var
-    assert_fires("no-env-time", "crates/core/src/clock.rs", 8); // Instant::now
+    assert_fires("lint-annotation", "crates/softfloat/src/waivers.rs", 9);
+    assert_fires("no-host-float", "crates/softfloat/src/waivers.rs", 10);
 }
 
 #[test]
@@ -115,7 +100,6 @@ fn second_kernel_env_read_is_flagged_but_the_documented_one_is_not() {
     // The string literal "NGA_KERNEL" on line 4 of the rogue reader.
     assert_fires("ctx-single-source", "crates/core/src/tierread.rs", 4);
     assert_silent("ctx-single-source", "crates/kernels/src/tier_env.rs");
-    assert_silent("no-env-time", "crates/kernels/src/tier_env.rs");
 }
 
 #[test]
@@ -137,23 +121,15 @@ fn tier_all_omitting_a_variant_is_flagged() {
 
 #[test]
 fn wrong_lut_size_is_flagged() {
-    // `[u8; 64]` on line 12 disagrees with 2-bit codes (16 entries).
-    assert_fires("kernel-consistency", "crates/kernels/src/table.rs", 12);
-    assert!(
-        !fixture_findings()
-            .iter()
-            .any(|f| f.path == "crates/kernels/src/table.rs" && f.line == 6),
-        "the correctly sized [u8; 16] table must not be flagged"
-    );
+    // `[u8; 64]` on line 8 disagrees with 2-bit codes (16 entries); the
+    // `[u8; 16]` table on line 4 is right.
+    assert_fires("kernel-consistency", "crates/kernels/src/table.rs", 8);
+    assert_silent_at("crates/kernels/src/table.rs", 4);
 }
 
 #[test]
 fn real_workspace_lints_clean() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root")
-        .to_path_buf();
+    let root = workspace_root();
     let cfg = Config::load(&root.join("lint.toml")).expect("workspace policy parses");
     let result = lint_workspace(&root, &cfg);
     assert!(
@@ -167,4 +143,87 @@ fn real_workspace_lints_clean() {
             .join("\n")
     );
     assert!(result.files_scanned > 100, "whole workspace scanned");
+}
+
+/// The crate roots whose library code must be panic-free: each denies
+/// the clippy panic lints the fixture crate copies.
+const PANIC_FREE_ROOTS: &[&str] = &[
+    "crates/core/src/lib.rs",
+    "crates/softfloat/src/lib.rs",
+    "crates/fixedpoint/src/lib.rs",
+    "crates/kernels/src/lib.rs",
+    "crates/obs/src/lib.rs",
+    "tools/nga-oracle/src/lib.rs",
+    "tools/nga-oracle/src/main.rs",
+];
+
+/// The non-blank, non-comment lines of TOML table `[name]` in `text`.
+fn toml_table(text: &str, name: &str) -> Vec<String> {
+    let header = format!("[{name}]");
+    text.lines()
+        .skip_while(|l| l.trim() != header)
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(String::from)
+        .collect()
+}
+
+/// The first `#![deny(…)]` crate attribute in `src`, whitespace removed.
+fn deny_attr(src: &str) -> Option<String> {
+    let start = src.find("#![deny(")?;
+    let len = src.get(start..)?.find(")]")? + 2;
+    Some(src.get(start..start + len)?.split_whitespace().collect())
+}
+
+#[test]
+fn clippy_fixture_copies_the_workspace_lint_tables() {
+    let workspace = read(&workspace_root().join("Cargo.toml"));
+    let fixture = read(&fixtures_root().join("clippy/Cargo.toml"));
+    for tool in ["rust", "clippy"] {
+        let want = toml_table(&workspace, &format!("workspace.lints.{tool}"));
+        assert!(!want.is_empty(), "[workspace.lints.{tool}] is missing");
+        assert_eq!(
+            toml_table(&fixture, &format!("lints.{tool}")),
+            want,
+            "the clippy fixture's [lints.{tool}] must copy [workspace.lints.{tool}]"
+        );
+    }
+}
+
+#[test]
+fn clippy_fixture_copies_the_panic_free_deny_list() {
+    let root = workspace_root();
+    let want = deny_attr(&read(&fixtures_root().join("clippy/src/lib.rs")))
+        .expect("the clippy fixture carries the deny list");
+    for rel in PANIC_FREE_ROOTS {
+        assert_eq!(
+            deny_attr(&read(&root.join(rel))).as_deref(),
+            Some(want.as_str()),
+            "{rel} must deny the clippy panic lints the fixture copies"
+        );
+    }
+}
+
+#[test]
+fn every_member_inherits_the_workspace_lints() {
+    let root = workspace_root();
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for dir in ["crates", "compat", "tools"] {
+        for entry in std::fs::read_dir(root.join(dir)).expect("member directory") {
+            let manifest = entry.expect("directory entry").path().join("Cargo.toml");
+            if manifest.exists() {
+                manifests.push(manifest);
+            }
+        }
+    }
+    for manifest in manifests {
+        assert_eq!(
+            toml_table(&read(&manifest), "lints"),
+            ["workspace = true"],
+            "{} must opt in with `[lints] workspace = true`",
+            manifest.display()
+        );
+    }
 }

@@ -18,7 +18,15 @@
 //! conversion boundary in [`float::host`] (bit-exact `f64` decode used to
 //! seed sweeps and to serve the posit test oracle).
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 pub mod exact;
 pub mod fixedpt;

@@ -8,6 +8,16 @@
 //! optionally writes the deterministic JSON report, and exits nonzero if
 //! any task recorded a mismatch (the tier-2 CI gate).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::process::ExitCode;
 
 use nga_oracle::report::Report;
@@ -18,6 +28,7 @@ struct Cli {
     json: Option<Option<String>>,
 }
 
+#[expect(clippy::disallowed_methods, reason = "the CLI's argument parser")]
 fn parse_args() -> Result<Cli, String> {
     let mut opts = Options {
         quick: false,
