@@ -5,7 +5,7 @@
 use crate::format8::Format8;
 use crate::kernel::KernelTier;
 use crate::status::{Event8, StatusCounters};
-use crate::table::{add_event_table, add_table, mul_event_table, mul_table};
+use crate::table::{add_table, mul_table};
 
 /// An arithmetic context: kernel-tier selection + sticky status +
 /// trace scope, in one value.
@@ -105,18 +105,15 @@ impl ArithCtx {
     /// Bit-exact scalar multiply on raw codes; folds the raised events
     /// into the sticky status and the context's trace scope.
     ///
-    /// `Table` and `Parallel` look the code and its events up in the
-    /// format's value and event tables; `Scalar` computes both with
+    /// `Table` and `Parallel` look the code and its events up in one load
+    /// from the format's fused multiply table; `Scalar` computes both with
     /// [`Format8::mul_scalar_events`], the reference the tables are
     /// built from.
     #[must_use]
     pub fn mul(&mut self, fmt: Format8, a: u8, b: u8) -> u8 {
         let (r, ev) = match self.tier {
             KernelTier::Scalar => fmt.mul_scalar_events(a, b),
-            KernelTier::Table | KernelTier::Parallel => (
-                mul_table(fmt).get(a, b),
-                Event8::from_bits(mul_event_table(fmt).get(a, b)),
-            ),
+            KernelTier::Table | KernelTier::Parallel => mul_table(fmt).get_with_events(a, b),
         };
         self.fold_scalar(ev, |c| c.muls = c.muls.saturating_add(1));
         r
@@ -129,10 +126,7 @@ impl ArithCtx {
     pub fn add(&mut self, fmt: Format8, a: u8, b: u8) -> u8 {
         let (r, ev) = match self.tier {
             KernelTier::Scalar => fmt.add_scalar_events(a, b),
-            KernelTier::Table | KernelTier::Parallel => (
-                add_table(fmt).get(a, b),
-                Event8::from_bits(add_event_table(fmt).get(a, b)),
-            ),
+            KernelTier::Table | KernelTier::Parallel => add_table(fmt).get_with_events(a, b),
         };
         self.fold_scalar(ev, |c| c.adds = c.adds.saturating_add(1));
         r
@@ -152,7 +146,10 @@ impl ArithCtx {
 
     /// `out = a · b` over 8-bit format codes through the selected tier.
     /// Output codes are identical across tiers; the per-call counters are
-    /// returned and also merged into the sticky status and trace scope.
+    /// returned and also merged into the sticky status. The trace gets the
+    /// MACs and events once, from the tier's kernel scope (for example
+    /// `<label>/matmul8:table`), which opens under the calling thread's
+    /// innermost span.
     #[expect(clippy::too_many_arguments, reason = "BLAS-style flat slices and dims")]
     pub fn matmul8(
         &mut self,
@@ -166,7 +163,6 @@ impl ArithCtx {
     ) -> StatusCounters {
         let s = crate::tensor::matmul8_status(self.tier, fmt, a, b, out, m, k, n);
         self.counters.merge(&s);
-        nga_obs::record_at(self.span.path(), |c| s.fold_into_obs(c));
         s
     }
 
@@ -247,6 +243,42 @@ mod tests {
         assert_eq!((c.muls, c.adds, c.ops), (150, 150, 300));
         // Q4.4 7.9375² saturates at the rail; 1 + 1 is exact.
         assert_eq!(c.saturated, 150);
+    }
+
+    /// The trace counts every op once: the rows under a context's label
+    /// (its own scope and the kernel scopes under it) add up to its
+    /// sticky counters, on every tier.
+    #[cfg(not(feature = "obs-off"))]
+    #[test]
+    fn trace_under_the_label_reconciles_with_the_counters() {
+        let label = "ctx-test-trace";
+        // m·n ≥ 16 384, so the parallel tier runs in bands.
+        let (m, k, n) = (130, 3, 130);
+        let a: Vec<u8> = (0..m * k).map(|i| (i * 37 + 11) as u8).collect();
+        let b: Vec<u8> = (0..k * n).map(|i| (i * 91 + 3) as u8).collect();
+        let mut out = vec![0u8; m * n];
+        let mut ctx = ArithCtx::labeled(label);
+        for tier in KernelTier::ALL {
+            ctx = ctx.with_tier(tier);
+            for fmt in Format8::ALL {
+                let _ = ctx.matmul8(fmt, &a, &b, &mut out, m, k, n);
+                let _ = ctx.mul(fmt, 0x7C, 0x00);
+                let _ = ctx.add(fmt, 0x7C, 0xFC);
+            }
+        }
+        let mut traced = nga_obs::OpCounts::default();
+        for row in nga_obs::snapshot().scopes {
+            if row.path == label || row.path.starts_with(&format!("{label}/")) {
+                traced.merge(&row.counts);
+            }
+        }
+        let mut want = nga_obs::OpCounts::default();
+        ctx.counters().fold_into_obs(&mut want);
+        assert!(want.nar_nan > 0, "E5M2 ∞·0 and ∞ + −∞ raise NaN");
+        assert_eq!(
+            (traced.ops, traced.nar_nan, traced.events_total()),
+            (want.ops, want.nar_nan, want.events_total())
+        );
     }
 
     #[test]

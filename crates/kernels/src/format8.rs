@@ -61,7 +61,7 @@ impl Format8 {
 
     /// Bit-exact scalar multiply on raw codes, plus the [`Event8`] status
     /// the op raised, translated from the source crate's event
-    /// vocabulary. This is the seed for the per-format value and event
+    /// vocabulary. This is the seed for the per-format fused value+event
     /// tables.
     #[must_use]
     pub fn mul_scalar_events(self, a: u8, b: u8) -> (u8, Event8) {

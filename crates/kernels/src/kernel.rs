@@ -25,7 +25,7 @@ use crate::tensor;
 pub enum KernelTier {
     /// Decode/compute/encode through the reference scalar ops.
     Scalar,
-    /// One 64 KiB lookup per multiply/add, serial.
+    /// One fused value+event table lookup per multiply/add, serial.
     Table,
     /// Lookup tables plus scoped-thread row bands.
     Parallel,

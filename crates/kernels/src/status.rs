@@ -2,9 +2,9 @@
 //!
 //! Each source crate reports its own event vocabulary
 //! (`nga_softfloat::Flags`, `nga_core::PositEvents`,
-//! `nga_fixed::FixedEvents`); kernels need one byte-sized alphabet so a
-//! single 64 KiB event table per op covers every format and all three
-//! execution tiers report identically. [`Event8`] is that alphabet and
+//! `nga_fixed::FixedEvents`); kernels need one byte-sized alphabet so the
+//! high byte of one fused value+event table per op covers every format
+//! and all three execution tiers report identically. [`Event8`] is that alphabet and
 //! [`StatusCounters`] the order-independent accumulator the row-banded
 //! sweeps merge into.
 
@@ -30,8 +30,9 @@ pub(crate) const TALLY_CAPACITY: usize = TALLY_LANE_MAX as usize;
 /// IEEE formats use `NAR_NAN` (invalid → NaN), `DIV_BY_ZERO`, `OVERFLOW`,
 /// `UNDERFLOW`, `INEXACT`; posits use `NAR_NAN` (NaR produced),
 /// `SATURATED` (maxpos/minpos rail), `INEXACT`; Q4.4 uses `SATURATED`,
-/// `WRAPPED`, `INEXACT`. The bits fit in a `u8`, so the full event
-/// function of a binary op is itself a 64 KiB table.
+/// `WRAPPED`, `INEXACT`. The bits fit in a `u8`, so they ride in the high
+/// byte of each entry of the op's fused 128 KiB table, beside the result
+/// code ([`crate::BinaryTable`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Event8(u8);
 
@@ -53,7 +54,8 @@ impl Event8 {
     /// Fixed-point two's-complement wrap.
     pub const WRAPPED: Self = Self(64);
 
-    /// Reconstructs from raw bits (as stored in an event table).
+    /// Reconstructs from raw bits (as stored in a fused table entry's high
+    /// byte).
     #[inline(always)]
     #[must_use]
     pub fn from_bits(bits: u8) -> Self {

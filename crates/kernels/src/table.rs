@@ -1,68 +1,95 @@
 //! Exhaustive operation tables for 8-bit formats.
 //!
 //! A binary op over 8-bit codes has exactly 2¹⁶ input pairs, so the whole
-//! function fits in 64 KiB — smaller than most L2 caches. Tables are
-//! built once per process behind [`std::sync::OnceLock`]s from the
-//! bit-exact scalar ops, then every kernel multiply/add is a single
-//! indexed load.
+//! function, with the status events of every pair, fits in one 128 KiB
+//! table — smaller than most L2 caches. Tables are built once per
+//! process behind [`std::sync::OnceLock`]s from the bit-exact scalar
+//! event ops, then every kernel multiply/add is a single indexed load.
 
 use std::sync::OnceLock;
 
 use nga_approx::ApproxMultiplier;
 
 use crate::format8::Format8;
+use crate::status::Event8;
 
-/// An exhaustive `u8 × u8 → u8` operation table (64 KiB), carrying an
-/// FNV-1a checksum of its contents taken at build time.
+/// An exhaustive `u8 × u8 → (u8, Event8)` operation table (128 KiB):
+/// entry `(a, b)` holds the result code in its low byte and the
+/// [`Event8::bits`] the op raises in its high byte. It carries an FNV-1a
+/// checksum of both bytes of every entry, taken at build time.
 ///
-/// On an edge device, 64 KiB of SRAM holding the entire arithmetic of a
+/// On an edge device, 128 KiB of SRAM holding the entire arithmetic of a
 /// format is a single-event-upset target: one flipped bit silently
-/// corrupts every MAC that touches that entry. The stored checksum lets
-/// integrity be re-verified at any point ([`Self::verify`]) so callers
-/// can fall back to the scalar tier ([`crate::KernelTier::Scalar`]) when
-/// a table has been damaged; [`Self::corrupt_entry`] is the
-/// fault-injection hook that models the upset (it deliberately does
-/// *not* refresh the checksum).
+/// corrupts every MAC (or its reported status) that touches that entry.
+/// The stored checksum lets integrity be re-verified at any point
+/// ([`Self::verify`]) so callers can fall back to the scalar tier
+/// ([`crate::KernelTier::Scalar`]) when a table has been damaged;
+/// [`Self::corrupt_entry`] is the fault-injection hook that models the
+/// upset (it deliberately does *not* refresh the checksum).
 pub struct BinaryTable {
-    entries: Box<[u8; 65536]>,
+    entries: Box<[u16; 65536]>,
     checksum: u64,
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a over the entries' little-endian bytes.
+fn fnv1a(entries: &[u16]) -> u64 {
     let mut h = FNV_OFFSET;
-    for &b in bytes {
+    for b in entries.iter().flat_map(|e| e.to_le_bytes()) {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
 
+/// Entry index of `(a, b)`: always below 65 536.
+#[inline(always)]
+fn index(a: u8, b: u8) -> usize {
+    (usize::from(a) << 8) | usize::from(b)
+}
+
 impl BinaryTable {
-    /// Builds the table by evaluating `op` on all 65 536 input pairs.
+    /// Builds a value table by evaluating `op` on all 65 536 input pairs;
+    /// every entry's events are empty.
     #[must_use]
-    #[expect(clippy::indexing_slicing, reason = "(a << 8) | b < 65536")]
     pub fn build(op: impl Fn(u8, u8) -> u8) -> Self {
-        let mut entries = Box::new([0u8; 65536]);
+        Self::build_with_events(|a, b| (op(a, b), Event8::NONE))
+    }
+
+    /// Builds the fused table by evaluating `op` — a result code and the
+    /// events it raises — on all 65 536 input pairs.
+    #[must_use]
+    #[expect(clippy::indexing_slicing, reason = "index(a, b) < 65536")]
+    pub fn build_with_events(op: impl Fn(u8, u8) -> (u8, Event8)) -> Self {
+        let mut entries = Box::new([0u16; 65536]);
         for a in 0..=255u8 {
             for b in 0..=255u8 {
-                entries[(usize::from(a) << 8) | usize::from(b)] = op(a, b);
+                let (code, ev) = op(a, b);
+                entries[index(a, b)] = u16::from(code) | u16::from(ev.bits()) << 8;
             }
         }
         let checksum = fnv1a(entries.as_slice());
         Self { entries, checksum }
     }
 
-    /// Looks up `op(a, b)`.
+    /// Looks up the code of `op(a, b)`.
     #[inline(always)]
     #[must_use]
-    #[expect(clippy::indexing_slicing, reason = "(a << 8) | b < 65536")]
     pub fn get(&self, a: u8, b: u8) -> u8 {
-        // Indexing [u8; 65536] with (a << 8) | b is always in bounds, so
+        self.get_with_events(a, b).0
+    }
+
+    /// Looks up the code of `op(a, b)` and the events it raises.
+    #[inline(always)]
+    #[must_use]
+    #[expect(clippy::indexing_slicing, reason = "index(a, b) < 65536")]
+    pub fn get_with_events(&self, a: u8, b: u8) -> (u8, Event8) {
+        // Indexing [u16; 65536] with (a << 8) | b is always in bounds, so
         // the bounds check compiles away.
-        self.entries[(usize::from(a) << 8) | usize::from(b)]
+        let e = self.entries[index(a, b)];
+        (e as u8, Event8::from_bits((e >> 8) as u8))
     }
 
     /// The FNV-1a checksum recorded when the table was built.
@@ -78,12 +105,13 @@ impl BinaryTable {
         fnv1a(self.entries.as_slice()) == self.checksum
     }
 
-    /// Fault-injection hook: XORs `mask` into the entry for `(a, b)`,
-    /// modeling a single-event upset in table SRAM. The stored checksum
-    /// is left untouched, so [`Self::verify`] reports the damage.
-    #[expect(clippy::indexing_slicing, reason = "(a << 8) | b < 65536")]
-    pub fn corrupt_entry(&mut self, a: u8, b: u8, mask: u8) {
-        self.entries[(usize::from(a) << 8) | usize::from(b)] ^= mask;
+    /// Fault-injection hook: XORs `mask` into the entry for `(a, b)` (the
+    /// code in the low byte, the event bits in the high byte), modeling a
+    /// single-event upset in table SRAM. The stored checksum is left
+    /// untouched, so [`Self::verify`] reports the damage.
+    #[expect(clippy::indexing_slicing, reason = "index(a, b) < 65536")]
+    pub fn corrupt_entry(&mut self, a: u8, b: u8, mask: u16) {
+        self.entries[index(a, b)] ^= mask;
     }
 }
 
@@ -99,8 +127,6 @@ type PerFormat = [OnceLock<BinaryTable>; Format8::ALL.len()];
 
 static MUL_TABLES: PerFormat = [const { OnceLock::new() }; Format8::ALL.len()];
 static ADD_TABLES: PerFormat = [const { OnceLock::new() }; Format8::ALL.len()];
-static MUL_EVENT_TABLES: PerFormat = [const { OnceLock::new() }; Format8::ALL.len()];
-static ADD_EVENT_TABLES: PerFormat = [const { OnceLock::new() }; Format8::ALL.len()];
 
 /// `fmt`'s table in `caches`, built from `op` on first use.
 #[inline]
@@ -108,59 +134,48 @@ static ADD_EVENT_TABLES: PerFormat = [const { OnceLock::new() }; Format8::ALL.le
 fn cached(
     caches: &'static PerFormat,
     fmt: Format8,
-    op: impl Fn(u8, u8) -> u8,
+    op: impl Fn(u8, u8) -> (u8, Event8),
 ) -> &'static BinaryTable {
-    caches[fmt.index()].get_or_init(|| BinaryTable::build(op))
+    caches[fmt.index()].get_or_init(|| BinaryTable::build_with_events(op))
 }
 
-/// The process-wide multiply table for `fmt` (built on first use).
+/// The process-wide multiply table for `fmt`, codes and events (built on
+/// first use).
 #[inline]
 pub fn mul_table(fmt: Format8) -> &'static BinaryTable {
-    cached(&MUL_TABLES, fmt, |a, b| fmt.mul_scalar_events(a, b).0)
+    cached(&MUL_TABLES, fmt, |a, b| fmt.mul_scalar_events(a, b))
 }
 
-/// The process-wide addition table for `fmt` (built on first use).
+/// The process-wide addition table for `fmt`, codes and events (built on
+/// first use).
 #[inline]
 pub fn add_table(fmt: Format8) -> &'static BinaryTable {
-    cached(&ADD_TABLES, fmt, |a, b| fmt.add_scalar_events(a, b).0)
+    cached(&ADD_TABLES, fmt, |a, b| fmt.add_scalar_events(a, b))
 }
 
-/// The process-wide multiply *event* table for `fmt`: entry `(a, b)`
-/// holds [`Event8::bits`](crate::Event8::bits) of the status the scalar
-/// multiply raises, so the table tier reports byte-identical status to
-/// the scalar tier at one extra load per MAC.
-#[inline]
-pub fn mul_event_table(fmt: Format8) -> &'static BinaryTable {
-    cached(&MUL_EVENT_TABLES, fmt, |a, b| {
-        fmt.mul_scalar_events(a, b).1.bits()
-    })
-}
-
-/// The process-wide addition *event* table for `fmt` (see
-/// [`mul_event_table`]).
-#[inline]
-pub fn add_event_table(fmt: Format8) -> &'static BinaryTable {
-    cached(&ADD_EVENT_TABLES, fmt, |a, b| {
-        fmt.add_scalar_events(a, b).1.bits()
-    })
-}
-
-/// Cached multiply + add tables for one format: the unit the tensor
-/// kernels thread through their inner loops.
+/// A multiply + add table pair: the unit the status-free tensor kernels
+/// thread through their inner loops. [`LutOp::new`] takes the cached
+/// tables of a format; [`LutOp::from_tables`] takes the caller's own
+/// (for example, tables under fault injection).
 #[derive(Debug, Clone, Copy)]
-pub struct LutOp {
-    mul: &'static BinaryTable,
-    add: &'static BinaryTable,
+pub struct LutOp<'t> {
+    mul: &'t BinaryTable,
+    add: &'t BinaryTable,
 }
 
-impl LutOp {
+impl LutOp<'static> {
     /// The (lazily built) table pair for `fmt`.
     #[must_use]
     pub fn new(fmt: Format8) -> Self {
-        Self {
-            mul: mul_table(fmt),
-            add: add_table(fmt),
-        }
+        Self::from_tables(mul_table(fmt), add_table(fmt))
+    }
+}
+
+impl<'t> LutOp<'t> {
+    /// A caller-supplied `(mul, add)` table pair.
+    #[must_use]
+    pub fn from_tables(mul: &'t BinaryTable, add: &'t BinaryTable) -> Self {
+        Self { mul, add }
     }
 
     /// Table-driven multiply.
@@ -178,47 +193,31 @@ impl LutOp {
     }
 }
 
-/// Cached value *and* event tables for one format: the unit the
-/// status-reporting tensor kernels thread through their inner loops.
-/// Each multiply/add costs two loads (value + event bits) instead of one.
+/// The cached multiply + add tables of one format, read with their
+/// events: the unit the status-reporting tensor kernels thread through
+/// their inner loops. Each multiply/add is one load, code and events.
 #[derive(Debug, Clone, Copy)]
-pub struct StatusOp {
-    mul: &'static BinaryTable,
-    add: &'static BinaryTable,
-    mul_events: &'static BinaryTable,
-    add_events: &'static BinaryTable,
-}
+pub struct StatusOp(LutOp<'static>);
 
 impl StatusOp {
-    /// The (lazily built) value + event table quad for `fmt`.
+    /// The (lazily built) table pair for `fmt`.
     #[must_use]
     pub fn new(fmt: Format8) -> Self {
-        Self {
-            mul: mul_table(fmt),
-            add: add_table(fmt),
-            mul_events: mul_event_table(fmt),
-            add_events: add_event_table(fmt),
-        }
+        Self(LutOp::new(fmt))
     }
 
     /// Table-driven multiply with its status events.
     #[inline(always)]
     #[must_use]
-    pub fn mul(&self, a: u8, b: u8) -> (u8, crate::Event8) {
-        (
-            self.mul.get(a, b),
-            crate::Event8::from_bits(self.mul_events.get(a, b)),
-        )
+    pub fn mul(&self, a: u8, b: u8) -> (u8, Event8) {
+        self.0.mul.get_with_events(a, b)
     }
 
     /// Table-driven add with its status events.
     #[inline(always)]
     #[must_use]
-    pub fn add(&self, a: u8, b: u8) -> (u8, crate::Event8) {
-        (
-            self.add.get(a, b),
-            crate::Event8::from_bits(self.add_events.get(a, b)),
-        )
+    pub fn add(&self, a: u8, b: u8) -> (u8, Event8) {
+        self.0.add.get_with_events(a, b)
     }
 }
 

@@ -17,7 +17,7 @@ use crate::format8::Format8;
 use crate::kernel::KernelTier;
 use crate::parallel::for_each_band;
 use crate::status::{StatusCounters, TALLY_CAPACITY};
-use crate::table::{BinaryTable, LutOp, StatusOp};
+use crate::table::{LutOp, StatusOp};
 
 /// Records one matmul's worth of arithmetic against the current obs
 /// span: `m·k·n` MACs (one mul + one add each), `luts_per_mac` table
@@ -276,7 +276,7 @@ pub fn conv2d_f32(
 /// One 8-bit multiply-accumulate: the op every 8-bit matmul is generic
 /// over. Status is a side channel: [`Mac8::mac`] returns the new
 /// accumulator together with the summed `Event8::spread` words of the
-/// multiply's and the add's events (zero for ops without event tables).
+/// multiply's and the add's events (zero for the status-free ops).
 pub(crate) trait Mac8: Sync {
     /// Table loads per MAC, for the trace.
     const LUTS_PER_MAC: u64;
@@ -297,8 +297,8 @@ impl Mac8 for Format8 {
     }
 }
 
-/// One value load per op; no events.
-impl Mac8 for LutOp {
+/// One table load per op, code only; no events.
+impl Mac8 for LutOp<'_> {
     const LUTS_PER_MAC: u64 = 2;
 
     #[inline(always)]
@@ -307,25 +307,15 @@ impl Mac8 for LutOp {
     }
 }
 
-/// One value load and one event load per op.
+/// One table load per op, code and events.
 impl Mac8 for StatusOp {
-    const LUTS_PER_MAC: u64 = 4;
+    const LUTS_PER_MAC: u64 = 2;
 
     #[inline(always)]
     fn mac(&self, acc: u8, a: u8, b: u8) -> (u8, u64) {
         let (p, mul_ev) = self.mul(a, b);
         let (s, add_ev) = self.add(acc, p);
         (s, mul_ev.spread() + add_ev.spread())
-    }
-}
-
-/// Caller-supplied `(mul, add)` tables, possibly corrupted; no events.
-impl Mac8 for (&BinaryTable, &BinaryTable) {
-    const LUTS_PER_MAC: u64 = 2;
-
-    #[inline(always)]
-    fn mac(&self, acc: u8, a: u8, b: u8) -> (u8, u64) {
-        (self.1.get(acc, self.0.get(a, b)), 0)
     }
 }
 
@@ -407,15 +397,18 @@ fn run<M: Mac8>(
     counters
 }
 
-/// Serial table-driven matrix multiply over format codes.
-pub fn matmul8(op: &LutOp, a: &[u8], b: &[u8], out: &mut [u8], m: usize, k: usize, n: usize) {
+/// Serial table-driven matrix multiply over format codes. `op` may hold
+/// the cached tables of a format ([`LutOp::new`]) or caller-supplied
+/// ones ([`LutOp::from_tables`]), such as the deliberately corrupted
+/// tables of the fault injector.
+pub fn matmul8(op: &LutOp<'_>, a: &[u8], b: &[u8], out: &mut [u8], m: usize, k: usize, n: usize) {
     run(op, "matmul8:table", false, false, a, b, out, m, k, n);
 }
 
 /// Row-banded parallel table-driven matmul; bit-for-bit equal to
 /// [`matmul8`].
 pub fn matmul8_parallel(
-    op: &LutOp,
+    op: &LutOp<'_>,
     a: &[u8],
     b: &[u8],
     out: &mut [u8],
@@ -441,27 +434,9 @@ pub fn matmul8_scalar(
     run(&fmt, "matmul8:scalar", false, false, a, b, out, m, k, n);
 }
 
-/// Serial matmul over raw `u8 × u8 → u8` tables supplied by the caller
-/// (same accumulation order as [`matmul8`]). This is the path the fault
-/// injector drives with deliberately corrupted tables, and the one the
-/// verified-LUT fallback in `nga-nn` uses after a checksum pass.
-#[expect(clippy::too_many_arguments, reason = "BLAS-style flat slices and dims")]
-pub fn matmul8_tables(
-    mul: &BinaryTable,
-    add: &BinaryTable,
-    a: &[u8],
-    b: &[u8],
-    out: &mut [u8],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    run(&(mul, add), "matmul8:tables", false, false, a, b, out, m, k, n);
-}
-
 /// Status-reporting matmul on `tier`: the codes of the status-free
 /// matmuls plus counters recording one mul and one add event per MAC.
-/// The event tables are seeded from the scalar event ops, so codes and
+/// The fused tables are built from the scalar event ops, so codes and
 /// counters are identical on every tier.
 #[expect(clippy::too_many_arguments, reason = "BLAS-style flat slices and dims")]
 pub(crate) fn matmul8_status(
@@ -605,17 +580,10 @@ pub(crate) mod tests {
             assert_eq!(out, want, "{}: table", fmt.id());
             matmul8_parallel(&op, &a, &b, &mut out, m, k, n);
             assert_eq!(out, want, "{}: parallel", fmt.id());
-            matmul8_tables(
-                crate::mul_table(fmt),
-                crate::add_table(fmt),
-                &a,
-                &b,
-                &mut out,
-                m,
-                k,
-                n,
-            );
-            assert_eq!(out, want, "{}: tables", fmt.id());
+            let mul = crate::BinaryTable::build(|a, b| fmt.mul_scalar_events(a, b).0);
+            let add = crate::BinaryTable::build(|a, b| fmt.add_scalar_events(a, b).0);
+            matmul8(&LutOp::from_tables(&mul, &add), &a, &b, &mut out, m, k, n);
+            assert_eq!(out, want, "{}: caller value tables", fmt.id());
             for tier in KernelTier::ALL {
                 let s = matmul8_status(tier, fmt, &a, &b, &mut out, m, k, n);
                 assert_eq!(out, want, "{} {tier}: status codes", fmt.id());

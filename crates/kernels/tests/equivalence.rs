@@ -1,5 +1,5 @@
 //! The table tier's correctness contract: for every 8-bit format, the
-//! 64 KiB lookup tables agree with the bit-exact scalar ops on **all**
+//! fused lookup tables agree with the bit-exact scalar ops on **all**
 //! 65 536 input pairs (including NaR, NaN, infinities and both zeros),
 //! and every kernel tier agrees bit-for-bit with a naive reference on
 //! random shapes, including shapes large enough to run in row bands.

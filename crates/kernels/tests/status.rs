@@ -6,31 +6,32 @@ mod common;
 
 use common::naive_matmul8;
 use nga_kernels::{
-    matmul8_scalar, matmul8_tables, mul_table, ArithCtx, BinaryTable, Event8, Format8, KernelTier,
-    StatusCounters, StatusOp,
+    add_table, matmul8, matmul8_scalar, mul_table, ArithCtx, BinaryTable, Event8, Format8,
+    KernelTier, LutOp, StatusCounters,
 };
 
-/// Exhaustive 8-bit sweep: the event tables must agree with the scalar
-/// event ops on every one of the 65 536 input pairs, for both ops and
-/// all four formats (the table tier inherits its status semantics from
-/// these tables, so this pins tier agreement at the op level).
+/// Exhaustive 8-bit sweep: the code and event bytes of the cached fused
+/// tables must agree with the scalar event ops on every one of the
+/// 65 536 input pairs, for both ops and all four formats (the table tier
+/// inherits its codes and status from these tables, so this pins tier
+/// agreement at the op level).
 #[test]
 fn event_tables_match_scalar_exhaustively() {
     for fmt in Format8::ALL {
-        let op = StatusOp::new(fmt);
+        let (mul, add) = (mul_table(fmt), add_table(fmt));
         for a in 0..=255u8 {
             for b in 0..=255u8 {
-                let (mv, mev) = fmt.mul_scalar_events(a, b);
+                let want = fmt.mul_scalar_events(a, b);
                 assert_eq!(
-                    op.mul(a, b),
-                    (mv, mev),
+                    mul.get_with_events(a, b),
+                    want,
                     "{} mul({a:#04x}, {b:#04x})",
                     fmt.id()
                 );
-                let (av, aev) = fmt.add_scalar_events(a, b);
+                let want = fmt.add_scalar_events(a, b);
                 assert_eq!(
-                    op.add(a, b),
-                    (av, aev),
+                    add.get_with_events(a, b),
+                    want,
                     "{} add({a:#04x}, {b:#04x})",
                     fmt.id()
                 );
@@ -81,7 +82,7 @@ fn posit8_counters_see_saturation_and_inexactness() {
 #[test]
 fn checksum_catches_injected_corruption() {
     let fmt = Format8::E4m3;
-    let mut table = BinaryTable::build(|a, b| fmt.mul_scalar_events(a, b).0);
+    let mut table = BinaryTable::build_with_events(|a, b| fmt.mul_scalar_events(a, b));
     assert!(table.verify(), "freshly built table verifies");
     assert_eq!(
         table.checksum(),
@@ -93,6 +94,13 @@ fn checksum_catches_injected_corruption() {
     // Flipping the same bit back restores integrity.
     table.corrupt_entry(0x3C, 0x3C, 0x40);
     assert!(table.verify(), "restored table verifies again");
+    // A flip confined to the event byte leaves the code alone, but the
+    // checksum covers both bytes.
+    let (code, ev) = table.get_with_events(0x3C, 0x3C);
+    table.corrupt_entry(0x3C, 0x3C, 0x0100);
+    assert!(!table.verify(), "event-byte flip is detected");
+    assert_eq!(table.get(0x3C, 0x3C), code, "the code is unchanged");
+    assert_ne!(table.get_with_events(0x3C, 0x3C).1, ev, "the events changed");
 }
 
 #[test]
@@ -104,14 +112,14 @@ fn corrupted_table_changes_matmul_output() {
     let a: Vec<u8> = (0..m * k).map(|i| (i * 17 + 0x38) as u8).collect();
     let b: Vec<u8> = (0..k * n).map(|i| (i * 13 + 0x42) as u8).collect();
     let mut clean = vec![0u8; m * n];
-    matmul8_tables(&mul, &add, &a, &b, &mut clean, m, k, n);
+    matmul8(&LutOp::from_tables(&mul, &add), &a, &b, &mut clean, m, k, n);
     let mut reference = vec![0u8; m * n];
     matmul8_scalar(fmt, &a, &b, &mut reference, m, k, n);
     assert_eq!(clean, reference, "clean tables match the scalar tier");
     // Corrupt the entry for a pair that actually occurs in the product.
     mul.corrupt_entry(a[0], b[0], 0x80);
     let mut faulty = vec![0u8; m * n];
-    matmul8_tables(&mul, &add, &a, &b, &mut faulty, m, k, n);
+    matmul8(&LutOp::from_tables(&mul, &add), &a, &b, &mut faulty, m, k, n);
     assert_ne!(faulty, reference, "the upset propagates to the output");
 }
 

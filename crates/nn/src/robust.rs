@@ -3,15 +3,15 @@
 //! poisoning metric the fault-injection harness (`tools/nga-faults`)
 //! reports.
 //!
-//! The table tier of `nga-kernels` trades one 64 KiB LUT per operator for
-//! speed; a bit upset in that table silently corrupts *every* MAC that
-//! hits the flipped entry. [`matmul8_verified`] closes that hole: each
-//! call recomputes the FNV-1a checksum of the supplied tables and, on a
-//! mismatch, recomputes the product through the bit-exact scalar ops —
-//! same output codes, no silent corruption, at scalar-tier speed until
-//! the table is rebuilt.
+//! The table tier of `nga-kernels` trades one 128 KiB fused value+event
+//! LUT per operator for speed; a bit upset in that table silently
+//! corrupts *every* MAC that hits the flipped entry. [`matmul8_verified`]
+//! closes that hole: each call recomputes the FNV-1a checksum of the
+//! supplied tables and, on a mismatch, recomputes the product through
+//! the bit-exact scalar ops — same output codes, no silent corruption, at
+//! scalar-tier speed until the table is rebuilt.
 
-use nga_kernels::{matmul8_scalar, matmul8_tables, BinaryTable, Format8};
+use nga_kernels::{matmul8, matmul8_scalar, BinaryTable, Format8, LutOp};
 
 /// Which path a verified table-driven operation actually took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +45,7 @@ pub fn matmul8_verified(
 ) -> LutIntegrity {
     let _span = nga_obs::span("matmul8:verified");
     if mul.verify() && add.verify() {
-        matmul8_tables(mul, add, a, b, out, m, k, n);
+        matmul8(&LutOp::from_tables(mul, add), a, b, out, m, k, n);
         LutIntegrity::Verified
     } else {
         matmul8_scalar(fmt, a, b, out, m, k, n);

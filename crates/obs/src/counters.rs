@@ -28,7 +28,7 @@ pub struct OpCounts {
     pub muls: u64,
     /// Scalar divisions performed.
     pub divs: u64,
-    /// 64 KiB / MAC-table lookups performed.
+    /// Operation-table / MAC-table lookups performed.
     pub lut_hits: u64,
     /// Operations producing NaN/NaR from clean inputs (`Event8` bit 0).
     pub nar_nan: u64,

@@ -11,11 +11,12 @@ cargo build --release
 # tests run at once fails one of the two.
 cargo test -q --workspace
 cargo test -q --workspace -- --test-threads=1
-# The f32 equivalence tests with three worker threads, so their banded
-# shapes split into row bands that start part-way through the f32
-# worker's 4-row register tile even on a one-CPU host, where the
-# default thread count makes no bands at all.
-NGA_THREADS=3 cargo test -q -p nga-kernels --test equivalence f32
+# The equivalence and status tests with three worker threads, so their
+# banded shapes split into row bands even on a one-CPU host, where the
+# default thread count makes no bands at all: f32 bands that start
+# part-way through the f32 worker's 4-row register tile, and the status
+# path's bands over the fused value+event tables.
+NGA_THREADS=3 cargo test -q -p nga-kernels --test equivalence --test status
 # The recording-off build: nga-obs, nga-kernels and nga-nn (doctests
 # included) must pass with every trace entry point compiled to a no-op.
 cargo test -q -p nga-obs -p nga-kernels -p nga-nn \

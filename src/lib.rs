@@ -83,10 +83,13 @@ pub use nga_softfloat as softfloat;
 /// assert_eq!(f.to_f64(), 1.5);
 /// assert_eq!(q.to_f64(), 1.5);
 ///
-/// // The trace registry saw the context's work.
+/// // The trace registry saw the context's work: the scalar op in its
+/// // scope, the matmul in the tier's kernel scope under it.
 /// let report = obs::snapshot();
-/// let row = report.get("example").expect("scope recorded");
-/// assert_eq!(row.ops, 1 + 2 * 8);
+/// let subtree = report.scopes.iter().filter(|r| {
+///     r.path == "example" || r.path.starts_with("example/")
+/// });
+/// assert_eq!(subtree.map(|r| r.counts.ops).sum::<u64>(), 1 + 2 * 8);
 /// ```
 pub mod prelude {
     pub use nga_fixed::{Fixed, FixedFormat, RoundingMode};

@@ -44,14 +44,15 @@ impl Injector {
         out
     }
 
-    /// Upsets every entry of a 64 KiB lookup table in place (checksum is
-    /// left stale — detection is the point). Returns entries touched.
+    /// Upsets every bit of every 16-bit entry (code and event bytes) of a
+    /// 128 KiB lookup table in place (checksum is left stale — detection
+    /// is the point). Returns entries touched.
     pub fn corrupt_table(&mut self, table: &mut BinaryTable, rate_ppm: u32) -> u64 {
         let mut touched = 0u64;
         for a in 0..=255u8 {
             for b in 0..=255u8 {
-                let mut mask = 0u8;
-                for bit in 0..8 {
+                let mut mask = 0u16;
+                for bit in 0..16 {
                     if self.rng.hit(rate_ppm) {
                         mask |= 1 << bit;
                     }
@@ -103,10 +104,11 @@ mod tests {
     #[test]
     fn table_corruption_is_detected_by_checksum() {
         let fmt = Format8::Posit8;
-        let mut table = BinaryTable::build(|a, b| fmt.mul_scalar_events(a, b).0);
+        let mut table = BinaryTable::build_with_events(|a, b| fmt.mul_scalar_events(a, b));
+        assert_eq!(table.checksum(), nga_kernels::mul_table(fmt).checksum());
         let mut inj = Injector::new(7, 0);
         let touched = inj.corrupt_table(&mut table, 2_000);
-        assert!(touched > 0, "2000 ppm over 512 Kibit must hit something");
+        assert!(touched > 0, "2000 ppm over 1 Mibit must hit something");
         assert!(!table.verify(), "stale checksum exposes the upsets");
     }
 }

@@ -12,7 +12,7 @@
 //! Modules:
 //! - [`rng`]: vendored SplitMix64 (integer-only, streamable).
 //! - [`codec`]: the formats under study and their f32 ⇄ code bridges.
-//! - [`inject`]: the per-bit upset injector for codes and 64 KiB LUTs.
+//! - [`inject`]: the per-bit upset injector for codes and 128 KiB LUTs.
 //! - [`model`]: seeded DNN workloads and format-faithful evaluation.
 //! - [`sweep`]: the deterministic task list and thread-sharded runner.
 //! - [`report`]: integer-unit rows and deterministic JSON.

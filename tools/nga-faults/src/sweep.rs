@@ -12,7 +12,7 @@ use crate::model::{self, evaluate, quantize_weights, ModelStats, Workload};
 use crate::report::{LutRow, ModelRow, OperandRow, Report};
 use crate::rng::SplitMix64;
 
-use nga_kernels::{matmul8_scalar, matmul8_tables, BinaryTable, Format8};
+use nga_kernels::{matmul8, matmul8_scalar, BinaryTable, Format8, LutOp};
 use nga_nn::robust::{matmul8_verified, LutIntegrity};
 
 /// Sweep options.
@@ -282,8 +282,9 @@ fn run_task(
         TaskSpec::Lut { fmt, rate_ppm } => {
             let mut inj = Injector::new(seed, index);
             let mut gen = SplitMix64::stream(seed, index ^ OP_STREAM);
-            let mut mul = BinaryTable::build(|a, b| fmt.mul_scalar_events(a, b).0);
-            let mut add = BinaryTable::build(|a, b| fmt.add_scalar_events(a, b).0);
+            // Copies of the fused value+event tables the kernels read.
+            let mut mul = BinaryTable::build_with_events(|a, b| fmt.mul_scalar_events(a, b));
+            let mut add = BinaryTable::build_with_events(|a, b| fmt.add_scalar_events(a, b));
             let touched =
                 inj.corrupt_table(&mut mul, rate_ppm) + inj.corrupt_table(&mut add, rate_ppm);
             let (m, k, n) = (24usize, 24usize, 24usize);
@@ -292,7 +293,7 @@ fn run_task(
             let mut reference = vec![0u8; m * n];
             matmul8_scalar(fmt, &a, &b, &mut reference, m, k, n);
             let mut faulty = vec![0u8; m * n];
-            matmul8_tables(&mul, &add, &a, &b, &mut faulty, m, k, n);
+            matmul8(&LutOp::from_tables(&mul, &add), &a, &b, &mut faulty, m, k, n);
             let mismatches = faulty
                 .iter()
                 .zip(&reference)
