@@ -1,10 +1,10 @@
-//! Criterion benches for the kernel tiers: scalar vs table (LUT) vs
-//! table+parallel matmul over 8-bit format codes, and f32 serial vs
-//! parallel. `cargo bench -p nga-bench --bench kernels`.
+//! Criterion benches for the kernel tiers: scalar vs table (LUT, row
+//! bands when large enough) matmul over 8-bit format codes, and f32
+//! serial vs parallel. `cargo bench -p nga-bench --bench kernels`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use nga_kernels::{
-    matmul8, matmul8_parallel, matmul8_scalar, matmul_f32, matmul_f32_parallel, Format8, LutOp,
+    matmul8_parallel, matmul8_scalar, matmul_f32, matmul_f32_parallel, Format8, LutOp,
 };
 
 fn bench_matmul8(c: &mut Criterion) {
@@ -18,9 +18,6 @@ fn bench_matmul8(c: &mut Criterion) {
         let mut g = c.benchmark_group(&group_name);
         g.bench_function("scalar", |bch| {
             bch.iter(|| matmul8_scalar(fmt, black_box(&a), black_box(&b), &mut out, m, k, n));
-        });
-        g.bench_function("table", |bch| {
-            bch.iter(|| matmul8(&op, black_box(&a), black_box(&b), &mut out, m, k, n));
         });
         g.bench_function("parallel", |bch| {
             bch.iter(|| matmul8_parallel(&op, black_box(&a), black_box(&b), &mut out, m, k, n));

@@ -1,7 +1,8 @@
-//! Kernel-tier characterization: ops/s for the scalar, table (LUT) and
-//! table+parallel matmul kernels over every 8-bit format, plus the f32
-//! serial vs parallel tensor layer: one matmul and `conv2d_f32` on each
-//! 3×3 stage shape of ResNet20.
+//! Kernel-tier characterization: ops/s for the scalar and the parallel
+//! (table lookups, in row bands when the output is large enough) matmul
+//! kernels over every 8-bit format, plus the f32 serial vs parallel
+//! tensor layer: one matmul and `conv2d_f32` on each 3×3 stage shape of
+//! ResNet20.
 //!
 //! The status path is measured too: `ArithCtx::matmul8` (codes plus
 //! event counters) per format on each tier, and `ArithCtx::mul`/`add`
@@ -17,9 +18,9 @@
 //! `BENCH_kernels.json` (machine-readable, checked into the repo so the
 //! README's Performance section has provenance).
 //!
-//! `--tier=scalar|table|parallel` selects the context tier reported in
-//! the header (the A/B columns always measure all tiers); without it the
-//! context falls back to the documented environment default.
+//! `--tier=scalar|parallel` selects the context tier reported in the
+//! header (the A/B columns always measure both tiers); without it the
+//! context runs the default tier, `parallel`.
 //!
 //! Environment: `NGA_BENCH_MS` sets the per-case measurement window
 //! (default 300 ms), `NGA_THREADS` caps the parallel tier's workers.
@@ -35,7 +36,7 @@ use std::time::Instant;
 use nga_approx::ApproxMultiplier;
 use nga_bench::{banner, print_table};
 use nga_kernels::{
-    conv2d_f32, im2col, matmul8, matmul8_parallel, matmul8_scalar, matmul_f32, matmul_f32_parallel,
+    conv2d_f32, im2col, matmul8_parallel, matmul8_scalar, matmul_f32, matmul_f32_parallel,
     num_threads, ArithCtx, Format8, KernelTier, LutOp,
 };
 use nga_nn::layers::{Conv2d, Layer, Network};
@@ -86,7 +87,6 @@ struct Row {
     label: String,
     macs: u64,
     scalar: f64,
-    table: f64,
     parallel: f64,
 }
 
@@ -102,14 +102,12 @@ fn bench_format(fmt: Format8, m: usize, k: usize, n: usize) -> Row {
     let b: Vec<u8> = (0..k * n).map(|i| (i * 91 + 3) as u8).collect();
     let mut out = vec![0u8; m * n];
     let scalar = time_call(|| matmul8_scalar(fmt, &a, &b, &mut out, m, k, n));
-    let table = time_call(|| matmul8(&op, &a, &b, &mut out, m, k, n));
     let parallel = time_call(|| matmul8_parallel(&op, &a, &b, &mut out, m, k, n));
     std::hint::black_box(&out);
     Row {
         label: format!("matmul8[{}] {m}x{k}x{n}", fmt.id()),
         macs: (m * k * n) as u64,
         scalar,
-        table,
         parallel,
     }
 }
@@ -130,7 +128,6 @@ fn bench_ctx_format(fmt: Format8, m: usize, k: usize, n: usize) -> Row {
         label: format!("ctx.matmul8[{}] {m}x{k}x{n}", fmt.id()),
         macs: (m * k * n) as u64,
         scalar: time_tier(KernelTier::Scalar),
-        table: time_tier(KernelTier::Table),
         parallel: time_tier(KernelTier::Parallel),
     }
 }
@@ -139,8 +136,8 @@ fn bench_ctx_format(fmt: Format8, m: usize, k: usize, n: usize) -> Row {
 /// `LutOp` lookup (the ceiling).
 struct ScalarRow {
     fmt: Format8,
-    /// `[scalar, table, parallel, lut]`.
-    ns: [f64; 4],
+    /// `[scalar, parallel, lut]`.
+    ns: [f64; 3],
 }
 
 fn bench_ctx_scalar(fmt: Format8) -> ScalarRow {
@@ -170,7 +167,6 @@ fn bench_ctx_scalar(fmt: Format8) -> ScalarRow {
         fmt,
         ns: [
             time_tier(KernelTier::Scalar),
-            time_tier(KernelTier::Table),
             time_tier(KernelTier::Parallel),
             lut,
         ],
@@ -188,7 +184,6 @@ fn bench_f32(m: usize, k: usize, n: usize) -> Row {
         label: format!("matmul_f32 {m}x{k}x{n}"),
         macs: (m * k * n) as u64,
         scalar: serial,
-        table: serial,
         parallel,
     }
 }
@@ -351,21 +346,20 @@ fn fmt_ops(ops: f64) -> String {
 
 fn main() {
     let json = std::env::args().any(|a| a == "--json");
-    // Build the context first, then report *its* effective tier — not a
-    // separate environment read that could disagree with what runs.
+    // The header reports the tier the context actually runs.
     let mut ctx = ArithCtx::labeled("bench:kernels");
     for arg in std::env::args() {
         if let Some(t) = arg.strip_prefix("--tier=") {
             match KernelTier::parse(t) {
                 Some(tier) => ctx = ctx.with_tier(tier),
                 None => {
-                    eprintln!("unknown tier {t:?} (expected scalar|table|parallel)");
+                    eprintln!("unknown tier {t:?} (expected scalar|parallel)");
                     std::process::exit(2);
                 }
             }
         }
     }
-    banner("Kernel tiers — scalar vs table vs table+parallel");
+    banner("Kernel tiers — scalar vs parallel (table lookups in row bands)");
     println!(
         "worker threads: {}, context tier: {}\n",
         num_threads(),
@@ -393,22 +387,13 @@ fn main() {
             vec![
                 r.label.clone(),
                 format!("{}ops/s", fmt_ops(r.ops(r.scalar))),
-                format!("{}ops/s", fmt_ops(r.ops(r.table))),
                 format!("{}ops/s", fmt_ops(r.ops(r.parallel))),
-                format!("{:.1}x", r.scalar / r.table),
                 format!("{:.1}x", r.scalar / r.parallel),
             ]
         })
         .collect();
     print_table(
-        &[
-            "kernel",
-            "scalar",
-            "table",
-            "parallel",
-            "table speedup",
-            "parallel speedup",
-        ],
+        &["kernel", "scalar", "parallel", "parallel speedup"],
         &table_rows,
     );
 
@@ -433,7 +418,6 @@ fn main() {
         &[
             "ctx.mul + ctx.add",
             "scalar ns/op",
-            "table ns/op",
             "parallel ns/op",
             "LutOp ns/op",
         ],
@@ -466,16 +450,13 @@ fn main() {
             entries.push(format!(
                 concat!(
                     "    {{\"kernel\": \"{}\", \"macs_per_call\": {}, ",
-                    "\"scalar_ops_per_s\": {:.0}, \"table_ops_per_s\": {:.0}, ",
-                    "\"parallel_ops_per_s\": {:.0}, ",
-                    "\"table_speedup\": {:.2}, \"parallel_speedup\": {:.2}}}"
+                    "\"scalar_ops_per_s\": {:.0}, \"parallel_ops_per_s\": {:.0}, ",
+                    "\"parallel_speedup\": {:.2}}}"
                 ),
                 r.label,
                 r.macs,
                 r.ops(r.scalar),
-                r.ops(r.table),
                 r.ops(r.parallel),
-                r.scalar / r.table,
                 r.scalar / r.parallel,
             ));
         }
@@ -500,14 +481,13 @@ fn main() {
                 format!(
                     concat!(
                         "    {{\"kernel\": \"ctx.mul+add[{}]\", ",
-                        "\"scalar_ns_per_op\": {:.2}, \"table_ns_per_op\": {:.2}, ",
-                        "\"parallel_ns_per_op\": {:.2}, \"lut_ns_per_op\": {:.2}}}"
+                        "\"scalar_ns_per_op\": {:.2}, \"parallel_ns_per_op\": {:.2}, ",
+                        "\"lut_ns_per_op\": {:.2}}}"
                     ),
                     r.fmt.id(),
                     r.ns[0],
                     r.ns[1],
                     r.ns[2],
-                    r.ns[3],
                 )
             })
             .collect();

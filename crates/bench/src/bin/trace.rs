@@ -11,7 +11,7 @@
 //! Workload per mode:
 //!
 //! * 8-bit matmuls through [`ArithCtx`] over every format × every
-//!   [`KernelTier`] (exercises all three kernel tiers + status folding),
+//!   [`KernelTier`] (exercises both kernel tiers + status folding),
 //! * a float CNN forward/backward plus a short training run (`nn:*`
 //!   scopes), and the quantized/approximate forward (`nn:qforward`),
 //! * a `funcgen:explore` sweep.

@@ -55,7 +55,7 @@ mod posit;
 mod quire;
 
 pub use analysis::{decimal_accuracy, decode_difficulty, DecodeDifficulty, PositRingCensus};
-pub use events::{PositEventCounters, PositEvents};
+pub use events::PositEvents;
 pub use format::PositFormat;
 pub use posit::{ParsePositError, Posit, PositClass, Unpacked};
 pub use quire::Quire;

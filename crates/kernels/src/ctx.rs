@@ -11,8 +11,8 @@ use crate::table::{add_table, mul_table};
 /// trace scope, in one value.
 ///
 /// * **Tier** — set explicitly with [`with_tier`](Self::with_tier);
-///   [`new`](Self::new) starts from the documented `NGA_KERNEL`
-///   environment fallback ([`KernelTier::from_env`]).
+///   [`new`](Self::new) starts at [`KernelTier::default`], the fused
+///   tables.
 /// * **Status** — every op folds its [`Event8`] into the context's
 ///   [`StatusCounters`]; [`events`](Self::events) is the sticky union,
 ///   IEEE-flag style.
@@ -23,8 +23,8 @@ use crate::table::{add_table, mul_table};
 /// ```
 /// use nga_kernels::{ArithCtx, Event8, Format8, KernelTier};
 ///
-/// let mut ctx = ArithCtx::new().with_tier(KernelTier::Table);
-/// assert_eq!(ctx.tier(), KernelTier::Table);
+/// let mut ctx = ArithCtx::new();
+/// assert_eq!(ctx.tier(), KernelTier::Parallel);
 ///
 /// // Scalar ops: same codes as Format8::mul_scalar_events, status kept.
 /// let one = 0x40; // posit8 1.0
@@ -47,8 +47,8 @@ pub struct ArithCtx {
 }
 
 impl ArithCtx {
-    /// A context labeled `"ctx"` on the tier from the documented
-    /// `NGA_KERNEL` environment fallback.
+    /// A context labeled `"ctx"` on the default tier
+    /// ([`KernelTier::Parallel`]).
     #[must_use]
     pub fn new() -> Self {
         Self::labeled("ctx")
@@ -59,14 +59,13 @@ impl ArithCtx {
     #[must_use]
     pub fn labeled(label: &str) -> Self {
         Self {
-            tier: KernelTier::from_env(),
+            tier: KernelTier::default(),
             counters: StatusCounters::new(),
             span: nga_obs::span(label),
         }
     }
 
-    /// Builder: selects the execution tier explicitly, overriding the
-    /// environment fallback.
+    /// Builder: selects the execution tier.
     ///
     /// ```
     /// use nga_kernels::{ArithCtx, KernelTier};
@@ -105,15 +104,15 @@ impl ArithCtx {
     /// Bit-exact scalar multiply on raw codes; folds the raised events
     /// into the sticky status and the context's trace scope.
     ///
-    /// `Table` and `Parallel` look the code and its events up in one load
-    /// from the format's fused multiply table; `Scalar` computes both with
+    /// `Parallel` looks the code and its events up in one load from the
+    /// format's fused multiply table; `Scalar` computes both with
     /// [`Format8::mul_scalar_events`], the reference the tables are
     /// built from.
     #[must_use]
     pub fn mul(&mut self, fmt: Format8, a: u8, b: u8) -> u8 {
         let (r, ev) = match self.tier {
             KernelTier::Scalar => fmt.mul_scalar_events(a, b),
-            KernelTier::Table | KernelTier::Parallel => mul_table(fmt).get_with_events(a, b),
+            KernelTier::Parallel => mul_table(fmt).get_with_events(a, b),
         };
         self.fold_scalar(ev, |c| c.muls = c.muls.saturating_add(1));
         r
@@ -126,7 +125,7 @@ impl ArithCtx {
     pub fn add(&mut self, fmt: Format8, a: u8, b: u8) -> u8 {
         let (r, ev) = match self.tier {
             KernelTier::Scalar => fmt.add_scalar_events(a, b),
-            KernelTier::Table | KernelTier::Parallel => add_table(fmt).get_with_events(a, b),
+            KernelTier::Parallel => add_table(fmt).get_with_events(a, b),
         };
         self.fold_scalar(ev, |c| c.adds = c.adds.saturating_add(1));
         r
@@ -148,7 +147,7 @@ impl ArithCtx {
     /// Output codes are identical across tiers; the per-call counters are
     /// returned and also merged into the sticky status. The trace gets the
     /// MACs and events once, from the tier's kernel scope (for example
-    /// `<label>/matmul8:table`), which opens under the calling thread's
+    /// `<label>/matmul8:parallel`), which opens under the calling thread's
     /// innermost span.
     #[expect(clippy::too_many_arguments, reason = "BLAS-style flat slices and dims")]
     pub fn matmul8(
@@ -239,10 +238,14 @@ mod tests {
             .get("ctx-test-worker")
             .copied()
             .unwrap_or_default();
-        assert_eq!(c.calls, 3);
-        assert_eq!((c.muls, c.adds, c.ops), (150, 150, 300));
+        let tiers = KernelTier::ALL.len() as u64;
+        assert_eq!(c.calls, tiers);
+        assert_eq!(
+            (c.muls, c.adds, c.ops),
+            (50 * tiers, 50 * tiers, 100 * tiers)
+        );
         // Q4.4 7.9375² saturates at the rail; 1 + 1 is exact.
-        assert_eq!(c.saturated, 150);
+        assert_eq!(c.saturated, 50 * tiers);
     }
 
     /// The trace counts every op once: the rows under a context's label

@@ -1,68 +1,51 @@
-//! [`KernelTier`]: the execution tiers benchmarks and binaries A/B
-//! (scalar vs table vs table+parallel), dispatched by `match`.
+//! [`KernelTier`]: the two execution tiers, the scalar reference and the
+//! fused tables, dispatched by `match`.
 
 use crate::format8::Format8;
 use crate::table::LutOp;
 use crate::tensor;
 
-/// An execution tier as a first-class value: the explicit way to pick a
-/// kernel, replacing ambient `NGA_KERNEL` reads scattered across callers.
+/// An execution tier as a first-class value: the one way to pick a
+/// kernel.
 ///
-/// Construct one directly, [`parse`](Self::parse) it from a CLI argument,
-/// or take the documented environment fallback via
-/// [`from_env`](Self::from_env) — then hand it to
+/// Construct one directly or [`parse`](Self::parse) it from a CLI
+/// argument, then hand it to
 /// [`ArithCtx::with_tier`](crate::ArithCtx::with_tier) or call its
 /// [`matmul8`](Self::matmul8) / [`matmul_f32`](Self::matmul_f32)
 /// directly.
 ///
 /// ```
 /// use nga_kernels::KernelTier;
-/// assert_eq!(KernelTier::parse("table"), Some(KernelTier::Table));
-/// assert_eq!(KernelTier::Table.name(), "table");
+/// assert_eq!(KernelTier::parse("scalar"), Some(KernelTier::Scalar));
+/// assert_eq!(KernelTier::Parallel.name(), "parallel");
 /// assert_eq!(KernelTier::default(), KernelTier::Parallel);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelTier {
-    /// Decode/compute/encode through the reference scalar ops.
+    /// Decode/compute/encode through the reference scalar ops, serial.
     Scalar,
-    /// One fused value+event table lookup per multiply/add, serial.
-    Table,
-    /// Lookup tables plus scoped-thread row bands.
+    /// One fused value+event table lookup per multiply/add, in
+    /// scoped-thread row bands once the output is large enough.
     Parallel,
 }
 
 impl KernelTier {
     /// All tiers, in escalation order.
-    pub const ALL: [Self; 3] = [Self::Scalar, Self::Table, Self::Parallel];
+    pub const ALL: [Self; 2] = [Self::Scalar, Self::Parallel];
 
     /// Stable tier name (used in benchmark output and JSON).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             Self::Scalar => "scalar",
-            Self::Table => "table",
             Self::Parallel => "parallel",
         }
     }
 
-    /// Parses a tier name (`"scalar"` / `"table"` / `"parallel"`).
+    /// Parses a tier name (`"scalar"` / `"parallel"`).
     #[must_use]
     pub fn parse(s: &str) -> Option<Self> {
         Self::ALL.into_iter().find(|t| t.name() == s)
-    }
-
-    /// The documented environment fallback: reads `NGA_KERNEL`
-    /// (`scalar` / `table` / `parallel`; anything else, including unset,
-    /// means [`Parallel`](Self::Parallel)). This is the only place in the
-    /// workspace that reads `NGA_KERNEL` — the `ctx-single-source` lint
-    /// rule keeps it that way.
-    #[must_use]
-    #[expect(clippy::disallowed_methods, reason = "the documented NGA_KERNEL read")]
-    pub fn from_env() -> Self {
-        std::env::var("NGA_KERNEL")
-            .ok()
-            .and_then(|v| Self::parse(&v))
-            .unwrap_or_default()
     }
 
     /// `out = a · b` over 8-bit format codes on this tier (status-free;
@@ -80,25 +63,23 @@ impl KernelTier {
     ) {
         match self {
             Self::Scalar => tensor::matmul8_scalar(fmt, a, b, out, m, k, n),
-            Self::Table => tensor::matmul8(&LutOp::new(fmt), a, b, out, m, k, n),
             Self::Parallel => tensor::matmul8_parallel(&LutOp::new(fmt), a, b, out, m, k, n),
         }
     }
 
     /// `out = a · b` over f32 (`a` m×k, `b` k×n, row-major) on this tier:
-    /// serial on `Scalar` and `Table`, row-banded on `Parallel`, with
-    /// bit-identical results.
+    /// serial on `Scalar`, row-banded on `Parallel`, with bit-identical
+    /// results.
     pub fn matmul_f32(self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
         match self {
-            Self::Scalar | Self::Table => tensor::matmul_f32(a, b, out, m, k, n),
+            Self::Scalar => tensor::matmul_f32(a, b, out, m, k, n),
             Self::Parallel => tensor::matmul_f32_parallel(a, b, out, m, k, n),
         }
     }
 }
 
 impl Default for KernelTier {
-    /// [`Parallel`](Self::Parallel) — the same default the environment
-    /// fallback uses when `NGA_KERNEL` is unset.
+    /// [`Parallel`](Self::Parallel), the fused tables.
     fn default() -> Self {
         Self::Parallel
     }
@@ -125,13 +106,12 @@ mod tests {
         let mut u8_ref = vec![0u8; m * n];
         KernelTier::Scalar.matmul_f32(&af, &bf, &mut f32_ref, m, k, n);
         KernelTier::Scalar.matmul8(Format8::Posit8, &a8, &b8, &mut u8_ref, m, k, n);
-        for tier in [KernelTier::Table, KernelTier::Parallel] {
-            let mut f = vec![0.0; m * n];
-            let mut u = vec![0u8; m * n];
-            tier.matmul_f32(&af, &bf, &mut f, m, k, n);
-            tier.matmul8(Format8::Posit8, &a8, &b8, &mut u, m, k, n);
-            assert_eq!(f, f32_ref, "{tier} f32");
-            assert_eq!(u, u8_ref, "{tier} u8");
-        }
+        let tier = KernelTier::Parallel;
+        let mut f = vec![0.0; m * n];
+        let mut u = vec![0u8; m * n];
+        tier.matmul_f32(&af, &bf, &mut f, m, k, n);
+        tier.matmul8(Format8::Posit8, &a8, &b8, &mut u, m, k, n);
+        assert_eq!(f, f32_ref, "{tier} f32");
+        assert_eq!(u, u8_ref, "{tier} u8");
     }
 }

@@ -10,14 +10,14 @@
 //! kernels (dot, matmul, im2col convolution) on top, with optional
 //! `std::thread::scope` row parallelism — no external dependencies.
 //!
-//! Three interchangeable [`KernelTier`] variants let benchmarks A/B the
-//! tiers, all running the same 8-bit row worker:
+//! Two interchangeable [`KernelTier`] variants let benchmarks A/B the
+//! tiers, both running the same 8-bit row worker:
 //!
 //! * [`KernelTier::Scalar`] — decode/compute/encode every element through
-//!   the reference scalar ops.
-//! * [`KernelTier::Table`] — one fused value+event table lookup per
-//!   multiply/add.
-//! * [`KernelTier::Parallel`] — lookup tables plus scoped-thread row bands.
+//!   the reference scalar ops, serially.
+//! * [`KernelTier::Parallel`] — one fused value+event table lookup per
+//!   multiply/add, in scoped-thread row bands when the output is large
+//!   enough to pay for them ([`for_each_band`]).
 //!
 //! The quantized-inference path gets the same treatment via
 //! [`MacTable`]: a 128 KiB product-magnitude table per
@@ -49,6 +49,5 @@ pub use parallel::{for_each_band, num_threads, split_bands};
 pub use status::{Event8, StatusCounters};
 pub use table::{add_table, mac_table, mul_table, BinaryTable, LutOp, MacTable, StatusOp};
 pub use tensor::{
-    conv2d_f32, dot_f32, im2col, matmul8, matmul8_parallel, matmul8_scalar, matmul_f32,
-    matmul_f32_parallel,
+    conv2d_f32, dot_f32, im2col, matmul8_parallel, matmul8_scalar, matmul_f32, matmul_f32_parallel,
 };

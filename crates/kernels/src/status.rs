@@ -4,9 +4,9 @@
 //! (`nga_softfloat::Flags`, `nga_core::PositEvents`,
 //! `nga_fixed::FixedEvents`); kernels need one byte-sized alphabet so the
 //! high byte of one fused value+event table per op covers every format
-//! and all three execution tiers report identically. [`Event8`] is that alphabet and
-//! [`StatusCounters`] the order-independent accumulator the row-banded
-//! sweeps merge into.
+//! and both execution tiers report identically. [`Event8`] is that
+//! alphabet and [`StatusCounters`] the one order-independent accumulator,
+//! which the row-banded sweeps merge into.
 
 use std::fmt;
 use std::ops::{BitOr, BitOrAssign};

@@ -278,8 +278,9 @@ pub fn conv2d_f32(
 /// accumulator together with the summed `Event8::spread` words of the
 /// multiply's and the add's events (zero for the status-free ops).
 pub(crate) trait Mac8: Sync {
-    /// Table loads per MAC, for the trace.
-    const LUTS_PER_MAC: u64;
+    /// The tier the op belongs to: it names the trace scope and decides
+    /// whether the matmul runs in row bands.
+    const TIER: KernelTier;
 
     /// `acc + a·b`, and the spread events the two ops raised.
     fn mac(&self, acc: u8, a: u8, b: u8) -> (u8, u64);
@@ -287,7 +288,7 @@ pub(crate) trait Mac8: Sync {
 
 /// Decode/compute/encode through the reference scalar event ops.
 impl Mac8 for Format8 {
-    const LUTS_PER_MAC: u64 = 0;
+    const TIER: KernelTier = KernelTier::Scalar;
 
     #[inline(always)]
     fn mac(&self, acc: u8, a: u8, b: u8) -> (u8, u64) {
@@ -299,7 +300,7 @@ impl Mac8 for Format8 {
 
 /// One table load per op, code only; no events.
 impl Mac8 for LutOp<'_> {
-    const LUTS_PER_MAC: u64 = 2;
+    const TIER: KernelTier = KernelTier::Parallel;
 
     #[inline(always)]
     fn mac(&self, acc: u8, a: u8, b: u8) -> (u8, u64) {
@@ -309,7 +310,7 @@ impl Mac8 for LutOp<'_> {
 
 /// One table load per op, code and events.
 impl Mac8 for StatusOp {
-    const LUTS_PER_MAC: u64 = 2;
+    const TIER: KernelTier = KernelTier::Parallel;
 
     #[inline(always)]
     fn mac(&self, acc: u8, a: u8, b: u8) -> (u8, u64) {
@@ -362,17 +363,16 @@ fn rows<M: Mac8>(
     counters
 }
 
-/// Every 8-bit matmul: checks the shapes, opens the trace scope `span`,
-/// runs [`rows`] serially or in row bands (merging the bands' counters,
-/// an order-independent fold) and records the MACs in the trace.
+/// Every 8-bit matmul: checks the shapes, opens the tier's trace scope,
+/// runs [`rows`] (serially on `Scalar`; in row bands on `Parallel`,
+/// merging the bands' counters, an order-independent fold) and records
+/// the MACs in the trace.
 ///
 /// With `status`, the counters count one mul and one add event per MAC
 /// and are folded into the trace too; without, they are empty.
 #[expect(clippy::too_many_arguments, reason = "BLAS-style flat slices and dims")]
 fn run<M: Mac8>(
     op: &M,
-    span: &'static str,
-    banded: bool,
     status: bool,
     a: &[u8],
     b: &[u8],
@@ -382,6 +382,10 @@ fn run<M: Mac8>(
     n: usize,
 ) -> StatusCounters {
     check_matmul_shapes(a, b, out, m, k, n);
+    let (span, banded, luts_per_mac) = match M::TIER {
+        KernelTier::Scalar => ("matmul8:scalar", false, 0),
+        KernelTier::Parallel => ("matmul8:parallel", true, 2),
+    };
     let _span = nga_obs::span(span);
     let worker = |band, oband: &mut [u8]| rows(op, status, a, b, oband, band, k, n);
     let counters = if banded {
@@ -393,20 +397,15 @@ fn run<M: Mac8>(
     } else {
         worker(0..m, out)
     };
-    obs_macs(m, k, n, M::LUTS_PER_MAC, status.then_some(&counters));
+    obs_macs(m, k, n, luts_per_mac, status.then_some(&counters));
     counters
 }
 
-/// Serial table-driven matrix multiply over format codes. `op` may hold
-/// the cached tables of a format ([`LutOp::new`]) or caller-supplied
-/// ones ([`LutOp::from_tables`]), such as the deliberately corrupted
-/// tables of the fault injector.
-pub fn matmul8(op: &LutOp<'_>, a: &[u8], b: &[u8], out: &mut [u8], m: usize, k: usize, n: usize) {
-    run(op, "matmul8:table", false, false, a, b, out, m, k, n);
-}
-
-/// Row-banded parallel table-driven matmul; bit-for-bit equal to
-/// [`matmul8`].
+/// Table-driven matrix multiply over format codes, in row bands once
+/// `m·n` reaches the banding threshold (one serial band below it, or on
+/// one thread). `op` may hold the cached tables of a format
+/// ([`LutOp::new`]) or caller-supplied ones ([`LutOp::from_tables`]),
+/// such as the deliberately corrupted tables of the fault injector.
 pub fn matmul8_parallel(
     op: &LutOp<'_>,
     a: &[u8],
@@ -416,12 +415,12 @@ pub fn matmul8_parallel(
     k: usize,
     n: usize,
 ) {
-    run(op, "matmul8:parallel", true, false, a, b, out, m, k, n);
+    run(op, false, a, b, out, m, k, n);
 }
 
 /// Reference matmul through the decode→compute→encode scalar ops (the
-/// tier the tables are benchmarked against). Same accumulation order as
-/// [`matmul8`], so results are identical codes.
+/// tier the tables are benchmarked against), serial. Same accumulation
+/// order as [`matmul8_parallel`], so results are identical codes.
 pub fn matmul8_scalar(
     fmt: Format8,
     a: &[u8],
@@ -431,7 +430,7 @@ pub fn matmul8_scalar(
     k: usize,
     n: usize,
 ) {
-    run(&fmt, "matmul8:scalar", false, false, a, b, out, m, k, n);
+    run(&fmt, false, a, b, out, m, k, n);
 }
 
 /// Status-reporting matmul on `tier`: the codes of the status-free
@@ -450,13 +449,8 @@ pub(crate) fn matmul8_status(
     n: usize,
 ) -> StatusCounters {
     match tier {
-        KernelTier::Scalar => run(&fmt, "matmul8:scalar", false, true, a, b, out, m, k, n),
-        KernelTier::Table => {
-            run(&StatusOp::new(fmt), "matmul8:table", false, true, a, b, out, m, k, n)
-        }
-        KernelTier::Parallel => {
-            run(&StatusOp::new(fmt), "matmul8:parallel", true, true, a, b, out, m, k, n)
-        }
+        KernelTier::Scalar => run(&fmt, true, a, b, out, m, k, n),
+        KernelTier::Parallel => run(&StatusOp::new(fmt), true, a, b, out, m, k, n),
     }
 }
 
@@ -576,13 +570,11 @@ pub(crate) mod tests {
             let mut out = vec![0u8; m * n];
             matmul8_scalar(fmt, &a, &b, &mut out, m, k, n);
             assert_eq!(out, want, "{}: scalar", fmt.id());
-            matmul8(&op, &a, &b, &mut out, m, k, n);
-            assert_eq!(out, want, "{}: table", fmt.id());
             matmul8_parallel(&op, &a, &b, &mut out, m, k, n);
             assert_eq!(out, want, "{}: parallel", fmt.id());
             let mul = crate::BinaryTable::build(|a, b| fmt.mul_scalar_events(a, b).0);
             let add = crate::BinaryTable::build(|a, b| fmt.add_scalar_events(a, b).0);
-            matmul8(&LutOp::from_tables(&mul, &add), &a, &b, &mut out, m, k, n);
+            matmul8_parallel(&LutOp::from_tables(&mul, &add), &a, &b, &mut out, m, k, n);
             assert_eq!(out, want, "{}: caller value tables", fmt.id());
             for tier in KernelTier::ALL {
                 let s = matmul8_status(tier, fmt, &a, &b, &mut out, m, k, n);

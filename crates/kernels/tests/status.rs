@@ -6,7 +6,7 @@ mod common;
 
 use common::naive_matmul8;
 use nga_kernels::{
-    add_table, matmul8, matmul8_scalar, mul_table, ArithCtx, BinaryTable, Event8, Format8,
+    add_table, matmul8_parallel, matmul8_scalar, mul_table, ArithCtx, BinaryTable, Event8, Format8,
     KernelTier, LutOp, StatusCounters,
 };
 
@@ -112,14 +112,14 @@ fn corrupted_table_changes_matmul_output() {
     let a: Vec<u8> = (0..m * k).map(|i| (i * 17 + 0x38) as u8).collect();
     let b: Vec<u8> = (0..k * n).map(|i| (i * 13 + 0x42) as u8).collect();
     let mut clean = vec![0u8; m * n];
-    matmul8(&LutOp::from_tables(&mul, &add), &a, &b, &mut clean, m, k, n);
+    matmul8_parallel(&LutOp::from_tables(&mul, &add), &a, &b, &mut clean, m, k, n);
     let mut reference = vec![0u8; m * n];
     matmul8_scalar(fmt, &a, &b, &mut reference, m, k, n);
     assert_eq!(clean, reference, "clean tables match the scalar tier");
     // Corrupt the entry for a pair that actually occurs in the product.
     mul.corrupt_entry(a[0], b[0], 0x80);
     let mut faulty = vec![0u8; m * n];
-    matmul8(&LutOp::from_tables(&mul, &add), &a, &b, &mut faulty, m, k, n);
+    matmul8_parallel(&LutOp::from_tables(&mul, &add), &a, &b, &mut faulty, m, k, n);
     assert_ne!(faulty, reference, "the upset propagates to the output");
 }
 
@@ -132,8 +132,7 @@ fn empty_counters_have_empty_union() {
 
 /// Lane overflow guard: with `n` and `k·n` far past the 511 ops a packed
 /// tally lane holds, and every multiply raising the same events, the
-/// table and parallel tiers still count exactly what the scalar tier
-/// counts.
+/// parallel tier still counts exactly what the scalar tier counts.
 #[test]
 fn saturating_matmul_counts_exactly_past_tally_capacity() {
     // m·n ≥ 16 384, so the parallel tier spawns bands.
@@ -151,12 +150,11 @@ fn saturating_matmul_counts_exactly_past_tally_capacity() {
     let macs = (m * k * n) as u64;
     assert_eq!(want_s.ops(), 2 * macs);
     assert!(want_s.saturated() >= macs, "every multiply saturates");
-    for tier in [KernelTier::Table, KernelTier::Parallel] {
-        let mut out = vec![0u8; m * n];
-        let s = ArithCtx::labeled("status-test-overflow")
-            .with_tier(tier)
-            .matmul8(fmt, &a, &b, &mut out, m, k, n);
-        assert_eq!(out, want, "{tier} codes");
-        assert_eq!(s, want_s, "{tier} counters");
-    }
+    let tier = KernelTier::Parallel;
+    let mut out = vec![0u8; m * n];
+    let s = ArithCtx::labeled("status-test-overflow")
+        .with_tier(tier)
+        .matmul8(fmt, &a, &b, &mut out, m, k, n);
+    assert_eq!(out, want, "{tier} codes");
+    assert_eq!(s, want_s, "{tier} counters");
 }

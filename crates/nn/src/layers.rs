@@ -147,6 +147,7 @@ impl Conv2d {
         };
         let (h, w) = (x.shape()[1], x.shape()[2]);
         let (oh, ow) = (grad_y.shape()[1], grad_y.shape()[2]);
+        record_macs(2 * (out_ch * in_ch * k * k * oh * ow) as u64);
         let mut grad_x = Tensor::zeros(x.shape());
         for oc in 0..out_ch {
             for oy in 0..oh {
@@ -243,12 +244,7 @@ impl DwConv2d {
         let wdata = self.weights.data();
         let bias = self.bias.data();
         let npix = oh * ow;
-        // Nominal MAC count (padding included), matching `Layer::macs`.
-        let macs = (ch * npix * k * k) as u64;
-        nga_obs::record(|c| {
-            c.muls = c.muls.saturating_add(macs);
-            c.adds = c.adds.saturating_add(macs);
-        });
+        record_macs((ch * npix * k * k) as u64);
         let mut y = vec![0.0f32; ch * npix];
         // Channels are independent: one scoped thread band per group of
         // channels. Per pixel, the valid kernel-tap window is clipped
@@ -302,6 +298,7 @@ impl DwConv2d {
         };
         let (h, w) = (x.shape()[1], x.shape()[2]);
         let (oh, ow) = (grad_y.shape()[1], grad_y.shape()[2]);
+        record_macs(2 * (ch * k * k * oh * ow) as u64);
         let mut grad_x = Tensor::zeros(x.shape());
         for c in 0..ch {
             for oy in 0..oh {
@@ -373,11 +370,7 @@ impl Dense {
         let wdata = self.weights.data();
         let bias = self.bias.data();
         let xdata = x.data();
-        let macs = (out * input) as u64;
-        nga_obs::record(|c| {
-            c.muls = c.muls.saturating_add(macs);
-            c.adds = c.adds.saturating_add(macs);
-        });
+        record_macs((out * input) as u64);
         let mut y = vec![0.0f32; out];
         if xdata.iter().any(|v| v.is_nan()) {
             // Poisoned input (e.g. after a fault injection): skip NaN
@@ -415,6 +408,7 @@ impl Dense {
             unreachable!()
         };
         assert_eq!(grad_y.len(), out, "dense output gradient size");
+        record_macs(2 * (out * input) as u64);
         let gw = state(&mut self.grad_w, &self.weights).data_mut();
         let gb = state(&mut self.grad_b, &self.bias).data_mut();
         let mut grad_x = Tensor::zeros(&[input]);
@@ -847,6 +841,18 @@ impl Network {
     }
 }
 
+/// Records `macs` multiply-accumulates (one mul and one add each) in the
+/// current trace scope. Callers pass nominal, shape-derived counts with
+/// padded taps included, matching [`Layer::macs`]; a backward pass counts
+/// twice its forward MACs, the weight-gradient and the input-gradient
+/// products.
+fn record_macs(macs: u64) {
+    nga_obs::record(|c| {
+        c.muls = c.muls.saturating_add(macs);
+        c.adds = c.adds.saturating_add(macs);
+    });
+}
+
 fn sgd(w: &mut Tensor, g: &mut Tensor, v: &mut Tensor, lr: f32, momentum: f32) {
     let (g, v) = (state(g, w), state(v, w));
     for i in 0..w.len() {
@@ -980,6 +986,48 @@ mod tests {
         assert_eq!(y.data(), &[0.0, 2.0, 3.0, 0.0]);
         let p = Layer::max_pool2().forward(&x);
         assert_eq!(p.data(), &[3.0]);
+    }
+
+    /// A backward pass records twice the forward MACs (the weight- and
+    /// input-gradient products) under `nn:backward`, for every weight
+    /// layer kind, inside residual blocks too.
+    #[cfg(not(feature = "obs-off"))]
+    #[test]
+    fn backward_records_twice_the_forward_macs() {
+        let mut rng = rng();
+        let mut net = Network {
+            layers: vec![
+                Layer::Conv2d(Conv2d::new(&mut rng, 4, 2, 3, 1, 1)),
+                Layer::relu(),
+                Layer::Residual(Residual {
+                    main: vec![Layer::DwConv2d(DwConv2d::new(&mut rng, 4, 3, 1, 1))],
+                    shortcut: vec![],
+                }),
+                Layer::Residual(Residual {
+                    main: vec![Layer::Conv2d(Conv2d::new(&mut rng, 6, 4, 3, 2, 1))],
+                    shortcut: vec![Layer::Conv2d(Conv2d::new(&mut rng, 6, 4, 1, 2, 0))],
+                }),
+                Layer::global_avg_pool(),
+                Layer::Dense(Dense::new(&mut rng, 3, 6)),
+            ],
+        };
+        let in_shape = [2, 6, 6];
+        let x = Tensor::from_vec(&in_shape, (0..72).map(|v| v as f32 * 0.05 - 1.0).collect());
+        let scope = "layers-test-backward-macs";
+        {
+            let _span = nga_obs::span(scope);
+            let y = net.forward_train(&x);
+            let ones = Tensor::from_vec(y.shape(), vec![1.0; y.len()]);
+            net.backward(&ones).expect("caches were filled");
+        }
+        let backward = format!("{scope}/nn:backward");
+        let muls: u64 = nga_obs::snapshot()
+            .scopes
+            .iter()
+            .filter(|r| r.path == backward || r.path.starts_with(&format!("{backward}/")))
+            .map(|r| r.counts.muls)
+            .sum();
+        assert_eq!(muls, 2 * net.mac_count(&in_shape));
     }
 
     #[test]

@@ -172,6 +172,7 @@ impl QuantizedNetwork {
     #[must_use]
     pub fn from_float(net: &Network, calib: &[Tensor]) -> Self {
         assert!(!calib.is_empty(), "need calibration samples");
+        let _span = nga_obs::span("nn:calibrate");
         // One sample at a time, so only one set of activations is live.
         let mut ranges = Vec::new();
         for x in calib {
@@ -753,6 +754,24 @@ mod tests {
                 assert_eq!(bits(&got), bits(&want), "net {i} {m:?}");
             }
         }
+    }
+
+    /// The calibration walk's layer scopes open under `nn:calibrate`, not
+    /// at the caller's scope.
+    #[cfg(not(feature = "obs-off"))]
+    #[test]
+    fn calibration_layers_trace_under_their_own_scope() {
+        let net = crate::models::kws_mini(8, 4, 3, 1);
+        let x = Tensor::from_vec(&[1, 8, 4], values(5, 32, -1.0, 2.0));
+        let scope = "quant-test-calibrate";
+        {
+            let _span = nga_obs::span(scope);
+            let _ = QuantizedNetwork::from_float(&net, &[x]);
+        }
+        let report = nga_obs::snapshot();
+        let calibrated = report.get(&format!("{scope}/nn:calibrate/conv2d"));
+        assert_eq!(calibrated.map(|c| c.calls), Some(1));
+        assert!(report.get(&format!("{scope}/conv2d")).is_none());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! the bit-exact scalar ops — same output codes, no silent corruption, at
 //! scalar-tier speed until the table is rebuilt.
 
-use nga_kernels::{matmul8, matmul8_scalar, BinaryTable, Format8, LutOp};
+use nga_kernels::{matmul8_parallel, matmul8_scalar, BinaryTable, Format8, LutOp};
 
 /// Which path a verified table-driven operation actually took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +45,7 @@ pub fn matmul8_verified(
 ) -> LutIntegrity {
     let _span = nga_obs::span("matmul8:verified");
     if mul.verify() && add.verify() {
-        matmul8(&LutOp::from_tables(mul, add), a, b, out, m, k, n);
+        matmul8_parallel(&LutOp::from_tables(mul, add), a, b, out, m, k, n);
         LutIntegrity::Verified
     } else {
         matmul8_scalar(fmt, a, b, out, m, k, n);

@@ -56,7 +56,7 @@ impl TraceReport {
 
     /// Aggregates scopes by the final path segment, sorted by segment.
     ///
-    /// Kernel tiers record under leaf names like `matmul8:table`, and nn
+    /// Kernel tiers record under leaf names like `matmul8:parallel`, and nn
     /// layers under `conv2d`/`dense`/…, so this one fold answers both
     /// "per kernel tier" and "per layer kind" regardless of where in the
     /// span tree the work happened.
@@ -154,7 +154,7 @@ mod tests {
         TraceReport {
             scopes: vec![
                 ScopeRow {
-                    path: "a/matmul8:table".into(),
+                    path: "a/matmul8:parallel".into(),
                     counts: OpCounts {
                         calls: 1,
                         muls: 10,
@@ -163,7 +163,7 @@ mod tests {
                     },
                 },
                 ScopeRow {
-                    path: "b/matmul8:table".into(),
+                    path: "b/matmul8:parallel".into(),
                     counts: OpCounts {
                         calls: 2,
                         muls: 5,
@@ -180,10 +180,10 @@ mod tests {
         assert_eq!(r.total().muls, 15);
         let by_leaf = r.aggregate_by_leaf();
         assert_eq!(by_leaf.len(), 1);
-        assert_eq!(by_leaf[0].0, "matmul8:table");
+        assert_eq!(by_leaf[0].0, "matmul8:parallel");
         assert_eq!(by_leaf[0].1.lut_hits, 20);
         assert_eq!(r.filter_segment("a").len(), 1);
-        assert_eq!(r.get("b/matmul8:table").map(|c| c.calls), Some(2));
+        assert_eq!(r.get("b/matmul8:parallel").map(|c| c.calls), Some(2));
     }
 
     #[test]

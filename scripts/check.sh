@@ -17,6 +17,9 @@ cargo test -q --workspace -- --test-threads=1
 # part-way through the f32 worker's 4-row register tile, and the status
 # path's bands over the fused value+event tables.
 NGA_THREADS=3 cargo test -q -p nga-kernels --test equivalence --test status
+# And on one worker thread, so the parallel tier runs its shapes above
+# the banding threshold as a single serial band.
+NGA_THREADS=1 cargo test -q -p nga-kernels --test equivalence --test status
 # The recording-off build: nga-obs, nga-kernels and nga-nn (doctests
 # included) must pass with every trace entry point compiled to a no-op.
 cargo test -q -p nga-obs -p nga-kernels -p nga-nn \
@@ -29,8 +32,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline -q --workspace --no-deps
 # fails here, not only when the benchmark runs.
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
 # Workspace invariants that rustc and clippy cannot express (no host
-# floats in the bit-exact cores, LUT/kernel consistency, one tier-
-# selection source): fails on any finding and refreshes LINT_REPORT.json.
+# floats in the bit-exact cores, LUT/kernel consistency): fails on any
+# finding and refreshes LINT_REPORT.json.
 cargo run -q --release -p nga-lint -- --json
 # Differential oracle quick sweep (~50M cases): fails on any mismatch
 # between the datapaths and the exact-arithmetic reference, and

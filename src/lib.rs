@@ -66,7 +66,7 @@ pub use nga_softfloat as softfloat;
 /// use nextgen_arith::prelude::*;
 ///
 /// // Instrumented 8-bit arithmetic through an explicit context.
-/// let mut ctx = ArithCtx::labeled("example").with_tier(KernelTier::Table);
+/// let mut ctx = ArithCtx::labeled("example").with_tier(KernelTier::Scalar);
 /// let one = 0x40; // posit8 1.0
 /// assert_eq!(ctx.mul(Format8::Posit8, one, one), one);
 /// let a = vec![one; 4];

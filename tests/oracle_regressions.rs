@@ -118,7 +118,7 @@ fn ftz_flushes_subnormal_inputs_before_the_operation() {
     assert!(q.is_nan(), "0/subnormal is 0/0 under DAZ");
 }
 
-/// The 8-bit kernel tiers (scalar, table, parallel) must keep agreeing
+/// The 8-bit kernel tiers (scalar, parallel) must keep agreeing
 /// with the oracle composition `add(0, mul(a, b))` on a boundary-heavy
 /// sample of codes — a cheap standing version of `tiers8/*` sweeps.
 #[test]

@@ -12,7 +12,7 @@ use crate::model::{self, evaluate, quantize_weights, ModelStats, Workload};
 use crate::report::{LutRow, ModelRow, OperandRow, Report};
 use crate::rng::SplitMix64;
 
-use nga_kernels::{matmul8, matmul8_scalar, BinaryTable, Format8, LutOp};
+use nga_kernels::{matmul8_parallel, matmul8_scalar, BinaryTable, Format8, LutOp};
 use nga_nn::robust::{matmul8_verified, LutIntegrity};
 
 /// Sweep options.
@@ -293,7 +293,15 @@ fn run_task(
             let mut reference = vec![0u8; m * n];
             matmul8_scalar(fmt, &a, &b, &mut reference, m, k, n);
             let mut faulty = vec![0u8; m * n];
-            matmul8(&LutOp::from_tables(&mul, &add), &a, &b, &mut faulty, m, k, n);
+            matmul8_parallel(
+                &LutOp::from_tables(&mul, &add),
+                &a,
+                &b,
+                &mut faulty,
+                m,
+                k,
+                n,
+            );
             let mismatches = faulty
                 .iter()
                 .zip(&reference)

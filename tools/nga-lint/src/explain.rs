@@ -33,18 +33,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              * LUT entry arrays must hold `(1 << code_bits)²` entries — the exhaustive\n\
                size implied by 8-bit codes (65 536).",
         ),
-        rules::CTX_SINGLE_SOURCE => Some(
-            "ctx-single-source (R6)\n\
-             ======================\n\
-             Kernel-tier selection has one ambient entry point: the documented\n\
-             `NGA_KERNEL` fallback read in `KernelTier::from_env` (kernel.rs). This\n\
-             rule flags any other string literal containing `NGA_KERNEL` — a second\n\
-             `std::env::var(\"NGA_KERNEL\")` read (or a message claiming to report the\n\
-             env selection) can disagree with the tier an `ArithCtx` actually runs,\n\
-             which is exactly the bench-header bug that motivated the rule. Select\n\
-             tiers with `KernelTier::parse`/`ArithCtx::with_tier` and report\n\
-             `ctx.tier()` instead.",
-        ),
         rules::LINT_ANNOTATION => Some(
             "lint-annotation\n\
              ===============\n\

@@ -8,9 +8,6 @@
 //! * **R4 `kernel-consistency`** — `KernelTier::ALL` lists every tier and
 //!   the equivalence tests run them; `Format8::ALL` lists every format;
 //!   LUT sizes agree with the code width.
-//! * **R6 `ctx-single-source`** — `NGA_KERNEL` is read in exactly one
-//!   place (`KernelTier::from_env`); tier selection elsewhere must go
-//!   through `KernelTier`/`ArithCtx::with_tier`.
 //!
 //! The compiler enforces the rest: no `unsafe` (R3, the workspace
 //! `unsafe_code = "forbid"` lint), panic-freedom of the arithmetic crates
@@ -43,13 +40,10 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> LintResult {
     let files = walk::rs_files(root, &|rel| cfg.excluded(rel));
 
     let host_float = cfg.rule(rules::NO_HOST_FLOAT);
-    let ctx_single = cfg.rule(rules::CTX_SINGLE_SOURCE);
 
     let mut files_scanned = 0usize;
     for rel in &files {
-        let r1 = host_float.applies_to(rel);
-        let r6 = ctx_single.applies_to(rel);
-        if !(r1 || r6) {
+        if !host_float.applies_to(rel) {
             continue;
         }
         let Ok(src) = std::fs::read_to_string(root.join(rel)) else {
@@ -63,12 +57,7 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> LintResult {
         };
         files_scanned += 1;
         let ctx = FileContext::new(rel, &src, &mut findings);
-        if r1 {
-            rules::scan_host_float(&ctx, &mut findings);
-        }
-        if r6 {
-            rules::scan_ctx_single_source(&ctx, &mut findings);
-        }
+        rules::scan_host_float(&ctx, &mut findings);
     }
 
     kernel_check::run(root, &cfg.rule(rules::KERNEL_CONSISTENCY), &mut findings);

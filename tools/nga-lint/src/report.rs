@@ -125,10 +125,10 @@ mod tests {
         let mut r = LintResult {
             findings: vec![
                 Finding {
-                    rule: "ctx-single-source",
+                    rule: "kernel-consistency",
                     path: "b.rs".into(),
                     line: 2,
-                    message: "`NGA_KERNEL` outside `KernelTier::from_env`".into(),
+                    message: "`KernelTier::ALL` omits `Rogue`".into(),
                 },
                 Finding {
                     rule: "no-host-float",
@@ -144,7 +144,7 @@ mod tests {
         let j = r.to_json();
         assert!(j.contains("\"status\": \"findings\""));
         assert!(j.contains("\\\"1.5\\\""));
-        assert!(j.contains("\"ctx-single-source\": 1"));
+        assert!(j.contains("\"kernel-consistency\": 1"));
     }
 
     #[test]

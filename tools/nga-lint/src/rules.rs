@@ -14,19 +14,11 @@ use crate::report::Finding;
 pub const NO_HOST_FLOAT: &str = "no-host-float";
 /// R4: kernel registration / LUT-shape cross-file consistency.
 pub const KERNEL_CONSISTENCY: &str = "kernel-consistency";
-/// R6: `"NGA_KERNEL"` mentioned anywhere but the one documented
-/// fallback read (`KernelTier::from_env`).
-pub const CTX_SINGLE_SOURCE: &str = "ctx-single-source";
 /// Malformed or reason-less `// lint:` annotations.
 pub const LINT_ANNOTATION: &str = "lint-annotation";
 
 /// Every rule id (the `--explain` index).
-pub const ALL_RULES: &[&str] = &[
-    NO_HOST_FLOAT,
-    KERNEL_CONSISTENCY,
-    CTX_SINGLE_SOURCE,
-    LINT_ANNOTATION,
-];
+pub const ALL_RULES: &[&str] = &[NO_HOST_FLOAT, KERNEL_CONSISTENCY, LINT_ANNOTATION];
 
 /// A lexed file plus the line classifications rules consult.
 pub struct FileContext {
@@ -300,10 +292,9 @@ fn emit(
     seen: &mut BTreeSet<(usize, String)>,
     rule: &'static str,
     line: usize,
-    skip_tests: bool,
     message: String,
 ) {
-    if skip_tests && ctx.in_test(line) {
+    if ctx.in_test(line) {
         return;
     }
     if ctx.waived(rule, line) {
@@ -332,7 +323,6 @@ pub fn scan_host_float(ctx: &FileContext, out: &mut Vec<Finding>) {
                 &mut seen,
                 NO_HOST_FLOAT,
                 t.line,
-                true,
                 format!("float literal `{}` in a bit-exact core", t.text),
             ),
             TokKind::Ident if t.text == "f32" || t.text == "f64" => emit(
@@ -341,32 +331,9 @@ pub fn scan_host_float(ctx: &FileContext, out: &mut Vec<Finding>) {
                 &mut seen,
                 NO_HOST_FLOAT,
                 t.line,
-                true,
                 format!("host float type `{}` in a bit-exact core", t.text),
             ),
             _ => {}
-        }
-    }
-}
-
-/// R6: flags string literals containing `NGA_KERNEL` — the env var has
-/// exactly one documented read (`KernelTier::from_env`, allowlisted in
-/// lint.toml); everywhere else tier selection must go through
-/// `KernelTier`/`ArithCtx::with_tier`, not a parallel ambient read.
-pub fn scan_ctx_single_source(ctx: &FileContext, out: &mut Vec<Finding>) {
-    let mut seen = BTreeSet::new();
-    for t in &ctx.lexed.toks {
-        if t.kind == TokKind::Str && t.text.contains("NGA_KERNEL") {
-            emit(
-                ctx,
-                out,
-                &mut seen,
-                CTX_SINGLE_SOURCE,
-                t.line,
-                false,
-                "`NGA_KERNEL` outside `KernelTier::from_env` — use `KernelTier`/`ArithCtx::with_tier`"
-                    .to_string(),
-            );
         }
     }
 }
