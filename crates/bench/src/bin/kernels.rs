@@ -1,8 +1,8 @@
 //! Kernel-tier characterization: ops/s for the scalar and the parallel
 //! (table lookups, in row bands when the output is large enough) matmul
 //! kernels over every 8-bit format, plus the f32 serial vs parallel
-//! tensor layer: one matmul and `conv2d_f32` on each 3×3 stage shape of
-//! ResNet20.
+//! tensor layer: one matmul, and `conv2d_f32` against `im2col` +
+//! `matmul_f32` on every distinct conv shape of ResNet20.
 //!
 //! The status path is measured too: `ArithCtx::matmul8` (codes plus
 //! event counters) per format on each tier, and `ArithCtx::mul`/`add`
@@ -44,15 +44,25 @@ use nga_nn::models::{kws_mini, resnet20, resnet_mini};
 use nga_nn::quant::QuantizedNetwork;
 use nga_nn::Tensor;
 
-/// Times `f` repeatedly inside the measurement window; returns the best
-/// observed seconds per call.
-fn time_call<F: FnMut()>(mut f: F) -> f64 {
-    let window_ms = std::env::var("NGA_BENCH_MS")
+/// The per-case measurement window in ms: `NGA_BENCH_MS`, default 300,
+/// at least 10.
+fn window_ms() -> u64 {
+    std::env::var("NGA_BENCH_MS")
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
         .unwrap_or(300)
-        .max(10);
-    let window = std::time::Duration::from_millis(window_ms);
+        .max(10)
+}
+
+/// The CPUs this process may run on.
+fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// Times `f` repeatedly inside the measurement window; returns the best
+/// observed seconds per call.
+fn time_call<F: FnMut()>(mut f: F) -> f64 {
+    let window = std::time::Duration::from_millis(window_ms());
     // Calibrate a batch size filling ~1/10 of the window.
     let mut n: u64 = 1;
     loop {
@@ -188,25 +198,36 @@ fn bench_f32(m: usize, k: usize, n: usize) -> Row {
     }
 }
 
-/// ResNet20's 3×3, pad-1 conv stages as `(ch, h, w, oc)`.
-const CONV_F32_SHAPES: [(usize, usize, usize, usize); 3] =
-    [(16, 32, 32, 16), (32, 16, 16, 32), (64, 8, 8, 64)];
+/// Every distinct conv of ResNet20 as `(ch, h, w, oc, k, stride, pad)`:
+/// the stem, each stage's 3×3 conv, the two stride-2 3×3 convs that open
+/// stages 2 and 3, and their 1×1 stride-2 projections.
+const CONV_F32_SHAPES: [(usize, usize, usize, usize, usize, usize, usize); 8] = [
+    (3, 32, 32, 16, 3, 1, 1),
+    (16, 32, 32, 16, 3, 1, 1),
+    (16, 32, 32, 32, 3, 2, 1),
+    (16, 32, 32, 32, 1, 2, 0),
+    (32, 16, 16, 32, 3, 1, 1),
+    (32, 16, 16, 64, 3, 2, 1),
+    (32, 16, 16, 64, 1, 2, 0),
+    (64, 8, 8, 64, 3, 1, 1),
+];
 
-/// f32 conv throughput on one stage shape, in MAC/s.
+/// f32 conv throughput on one ResNet20 conv shape, in MAC/s.
 struct ConvRow {
     label: String,
     macs: u64,
-    /// `im2col` then `matmul_f32` (the conv's GEMM on one thread; the
+    /// The reference: `im2col` then `matmul_f32` (one thread; the
     /// outputs start at 0.0 instead of the bias).
-    serial: f64,
-    /// `conv2d_f32` itself, in row bands when `oc·oh·ow` reaches the
-    /// banding threshold.
-    banded: f64,
+    im2col_matmul: f64,
+    /// `conv2d_f32` itself, in pixel-block bands when `oc·oh·ow` reaches
+    /// the banding threshold.
+    conv: f64,
 }
 
-fn bench_conv_f32((ch, h, w, oc): (usize, usize, usize, usize)) -> ConvRow {
-    let (kh, kw, stride, pad) = (3, 3, 1, 1);
-    let kdim = ch * kh * kw;
+fn bench_conv_f32(
+    (ch, h, w, oc, k, stride, pad): (usize, usize, usize, usize, usize, usize, usize),
+) -> ConvRow {
+    let kdim = ch * k * k;
     let input: Vec<f32> = (0..ch * h * w)
         .map(|i| ((i * 37) % 101) as f32 / 50.5 - 1.0)
         .collect();
@@ -215,25 +236,25 @@ fn bench_conv_f32((ch, h, w, oc): (usize, usize, usize, usize)) -> ConvRow {
         .collect();
     let bias: Vec<f32> = (0..oc).map(|i| i as f32 * 0.01).collect();
     let (mut cols, mut out) = (Vec::new(), Vec::new());
-    let (oh, ow) = im2col(&input, ch, h, w, kh, kw, stride, pad, &mut cols);
+    let (oh, ow) = im2col(&input, ch, h, w, k, k, stride, pad, &mut cols);
     let npix = oh * ow;
     let mut gemm_out = vec![0.0f32; oc * npix];
-    let serial = time_call(|| {
-        im2col(&input, ch, h, w, kh, kw, stride, pad, &mut cols);
+    let im2col_matmul = time_call(|| {
+        im2col(&input, ch, h, w, k, k, stride, pad, &mut cols);
         matmul_f32(&weights, &cols, &mut gemm_out, oc, kdim, npix);
     });
-    let banded = time_call(|| {
+    let conv = time_call(|| {
         conv2d_f32(
-            &input, ch, h, w, &weights, &bias, oc, kh, kw, stride, pad, &mut cols, &mut out,
+            &input, ch, h, w, &weights, &bias, oc, k, k, stride, pad, &mut out,
         );
     });
     std::hint::black_box((&out, &gemm_out));
     let macs = (oc * kdim * npix) as u64;
     ConvRow {
-        label: format!("conv2d_f32 {ch}x{h}x{w}->{oc} 3x3 p1"),
+        label: format!("conv2d_f32 {ch}x{h}x{w}->{oc} {k}x{k} s{stride} p{pad}"),
         macs,
-        serial: macs as f64 / serial,
-        banded: macs as f64 / banded,
+        im2col_matmul: macs as f64 / im2col_matmul,
+        conv: macs as f64 / conv,
     }
 }
 
@@ -361,8 +382,10 @@ fn main() {
     }
     banner("Kernel tiers — scalar vs parallel (table lookups in row bands)");
     println!(
-        "worker threads: {}, context tier: {}\n",
+        "worker threads: {}, nproc: {}, window: {} ms, context tier: {}\n",
         num_threads(),
+        nproc(),
+        window_ms(),
         ctx.tier()
     );
 
@@ -399,15 +422,15 @@ fn main() {
 
     println!();
     print_table(
-        &["f32 conv (im2col + GEMM)", "MACs", "serial", "banded"],
+        &["f32 conv", "MACs", "im2col+matmul_f32", "conv2d_f32"],
         &conv_rows
             .iter()
             .map(|r| {
                 vec![
                     r.label.clone(),
                     r.macs.to_string(),
-                    format!("{}MAC/s", fmt_ops(r.serial)),
-                    format!("{}MAC/s", fmt_ops(r.banded)),
+                    format!("{}MAC/s", fmt_ops(r.im2col_matmul)),
+                    format!("{}MAC/s", fmt_ops(r.conv)),
                 ]
             })
             .collect::<Vec<_>>(),
@@ -466,12 +489,12 @@ fn main() {
                 format!(
                     concat!(
                         "    {{\"kernel\": \"{}\", \"macs_per_call\": {}, ",
-                        "\"serial_gmac_per_s\": {:.3}, \"banded_gmac_per_s\": {:.3}}}"
+                        "\"im2col_matmul_gmac_per_s\": {:.3}, \"conv2d_gmac_per_s\": {:.3}}}"
                     ),
                     r.label,
                     r.macs,
-                    r.serial / 1e9,
-                    r.banded / 1e9,
+                    r.im2col_matmul / 1e9,
+                    r.conv / 1e9,
                 )
             })
             .collect();
@@ -508,12 +531,15 @@ fn main() {
             .collect();
         let doc = format!(
             concat!(
-                "{{\n  \"bench\": \"kernels\",\n  \"threads\": {},\n",
+                "{{\n  \"bench\": \"kernels\",\n  \"nproc\": {},\n  \"threads\": {},\n",
+                "  \"window_ms\": {},\n",
                 "  \"cases\": [\n{}\n  ],\n  \"conv_f32\": [\n{}\n  ],\n",
                 "  \"ctx_scalar\": [\n{}\n  ],\n",
                 "  \"qforward\": [\n{}\n  ]\n}}\n"
             ),
+            nproc(),
             num_threads(),
+            window_ms(),
             entries.join(",\n"),
             conv_entries.join(",\n"),
             scalar_entries.join(",\n"),

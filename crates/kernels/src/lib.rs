@@ -7,8 +7,10 @@
 //! in one 128 KiB exhaustive table (`code | events << 8`). This crate
 //! builds those tables lazily from the bit-exact scalar implementations in
 //! `nga-core`/`nga-softfloat`/`nga-fixed` and layers batched tensor
-//! kernels (dot, matmul, im2col convolution) on top, with optional
-//! `std::thread::scope` row parallelism — no external dependencies.
+//! kernels (dot, matmul, and an implicit-GEMM f32 convolution that packs
+//! 8-pixel panels of the im2col matrix instead of building it) on top,
+//! with optional `std::thread::scope` band parallelism — no external
+//! dependencies.
 //!
 //! Two interchangeable [`KernelTier`] variants let benchmarks A/B the
 //! tiers, both running the same 8-bit row worker:

@@ -1,10 +1,10 @@
 //! Scoped-thread work partitioning (std-only).
 //!
-//! Kernels split their output into contiguous row bands and run one band
-//! per thread under [`std::thread::scope`]. Each output element is
-//! produced by exactly one thread with the same sequential accumulation
-//! order as the serial kernel, so parallel results are bit-for-bit equal
-//! to serial ones.
+//! Kernels split their output into bands (contiguous rows, or for the f32
+//! convolution blocks of output pixels) and run one band per thread under
+//! [`std::thread::scope`]. Each output element is produced by exactly one
+//! thread with the same sequential accumulation order as the serial
+//! kernel, so parallel results are bit-for-bit equal to serial ones.
 
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -59,6 +59,42 @@ pub fn split_bands(n: usize, parts: usize) -> Vec<Range<usize>> {
 /// itself.
 const PARALLEL_MIN_OUTPUTS: usize = 16_384;
 
+/// The bands a kernel with `outputs` output elements runs in, as ranges
+/// over its `units` splittable units (rows, or pixel blocks): one band
+/// `0..units` when a single thread is available or `outputs` is under
+/// 16 384, otherwise one per worker thread, at most one per unit.
+pub(crate) fn bands_for(outputs: usize, units: usize) -> Vec<Range<usize>> {
+    // Size first: small kernels never pay for the thread-count lookup.
+    if outputs < PARALLEL_MIN_OUTPUTS {
+        let serial = 0..units;
+        return vec![serial];
+    }
+    split_bands(units, num_threads())
+}
+
+/// Runs `f` on every work item and returns the results in item order:
+/// a single item on the calling thread, more on one scoped thread each
+/// while the caller waits. A panic in any item is re-raised here.
+///
+/// The caller takes no band itself: on a 2-vCPU Xeon VM, running the
+/// first band on the caller made the banded `matmul8` and conv workloads
+/// ~15 % slower than spawning every band (EXPERIMENTS.md).
+pub(crate) fn run_bands<W: Send, R: Send>(work: Vec<W>, f: impl Fn(W) -> R + Sync) -> Vec<R> {
+    if work.len() <= 1 {
+        return work.into_iter().map(f).collect();
+    }
+    let f = &f;
+    std::thread::scope(|s| {
+        let workers: Vec<_> = work.into_iter().map(|w| s.spawn(move || f(w))).collect();
+        workers
+            .into_iter()
+            // A band that panicked re-raises its panic here, exactly as
+            // the scope would at exit.
+            .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    })
+}
+
 /// Runs `f(rows, band)` over contiguous row bands of `out`, in parallel
 /// when the work is large enough, and returns each band's result in row
 /// order.
@@ -79,33 +115,16 @@ where
     F: Fn(Range<usize>, &mut [T]) -> R + Sync,
 {
     assert_eq!(out.len(), rows * row_len, "output shape mismatch");
-    // Size first: small kernels never pay for the thread-count lookup.
-    let threads = if rows * row_len < PARALLEL_MIN_OUTPUTS {
-        1
-    } else {
-        num_threads().min(rows.max(1))
-    };
-    if threads <= 1 {
-        return vec![f(0..rows, out)];
-    }
-    let f = &f;
-    std::thread::scope(|s| {
-        let mut rest = out;
-        let workers: Vec<_> = split_bands(rows, threads)
-            .into_iter()
-            .map(|band| {
-                let (head, tail) = std::mem::take(&mut rest).split_at_mut(band.len() * row_len);
-                rest = tail;
-                s.spawn(move || f(band, head))
-            })
-            .collect();
-        workers
-            .into_iter()
-            // A band that panicked re-raises its panic here, exactly as
-            // the scope would at exit.
-            .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    })
+    let mut rest = out;
+    let work: Vec<_> = bands_for(rows * row_len, rows)
+        .into_iter()
+        .map(|band| {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(band.len() * row_len);
+            rest = tail;
+            (band, head)
+        })
+        .collect();
+    run_bands(work, |(band, slice)| f(band, slice))
 }
 
 #[cfg(test)]
@@ -165,5 +184,28 @@ mod tests {
                 assert_eq!(bands.len(), 1, "small outputs stay serial");
             }
         }
+    }
+
+    #[test]
+    fn bands_run_on_their_own_threads_and_one_band_on_the_caller() {
+        let caller = std::thread::current().id();
+        let ids = run_bands(vec![0, 1, 2], |_| std::thread::current().id());
+        assert_eq!(ids.len(), 3);
+        assert!(ids.iter().all(|&id| id != caller), "each band is spawned");
+        assert_ne!(ids[0], ids[1], "one thread per band");
+        assert_eq!(
+            run_bands(vec![()], |()| std::thread::current().id()),
+            [caller],
+            "a single band spawns nothing"
+        );
+        assert!(run_bands(Vec::<u8>::new(), |_| ()).is_empty());
+    }
+
+    #[test]
+    fn a_panicking_band_re_raises_on_the_caller() {
+        let r = std::panic::catch_unwind(|| {
+            run_bands(vec![0, 1], |i| assert_eq!(i, 0, "band {i} panics"));
+        });
+        assert!(r.is_err(), "a spawned band's panic reaches the caller");
     }
 }

@@ -1,9 +1,12 @@
-//! Batched tensor primitives: dot products, matmul and im2col
+//! Batched tensor primitives: dot products, matmul and implicit-GEMM
 //! convolution over `&[f32]` and `&[u8]` (8-bit format codes).
 //!
 //! All matmuls accumulate each output element in ascending-`k` order,
 //! whatever row band (or, for f32, register tile) it falls in, so
-//! parallel results are bit-for-bit equal to serial ones.
+//! parallel results are bit-for-bit equal to serial ones. The f32
+//! convolution packs one `NR`-pixel panel of the im2col matrix at a time
+//! and runs the f32 matmuls' register tile over it, so it keeps that
+//! order too without ever building the matrix.
 
 #![expect(
     clippy::indexing_slicing,
@@ -15,7 +18,7 @@ use std::ops::Range;
 
 use crate::format8::Format8;
 use crate::kernel::KernelTier;
-use crate::parallel::for_each_band;
+use crate::parallel::{bands_for, for_each_band, run_bands};
 use crate::status::{StatusCounters, TALLY_CAPACITY};
 use crate::table::{LutOp, StatusOp};
 
@@ -66,15 +69,15 @@ fn check_matmul_shapes<T>(a: &[T], b: &[T], out: &[T], m: usize, k: usize, n: us
 const MR: usize = 4;
 const NR: usize = 8;
 
-/// The one f32 GEMM row worker, shared by [`conv2d_f32`] and every f32
-/// matmul: computes global rows `rows` of `a·b` (`a` m×k, `b` k×n) into
-/// `oband` (local rows), each row starting at its `bias` entry, or at
-/// `0.0` without a bias.
+/// The f32 GEMM row worker of every f32 matmul: computes global rows
+/// `rows` of `a·b` (`a` m×k, `b` k×n) into `oband` (local rows), each row
+/// starting at its `bias` entry, or at `0.0` without a bias.
 ///
 /// Register-blocked: an `MR`×`NR` output tile stays in a local array for
-/// the whole `k` loop, so each output is stored once. Band rows past the
-/// last multiple of `MR` run one row at a time, and columns past the last
-/// multiple of `NR` run in one narrower tile.
+/// the whole `k` loop ([`tile`], shared with [`conv2d_f32`]), so each
+/// output is stored once. Band rows past the last multiple of `MR` run
+/// one row at a time, and columns past the last multiple of `NR` run in
+/// one narrower tile.
 ///
 /// Bit-identity: whatever the tile, tail or band split, every output
 /// starts at its bias (or `0.0`) and adds `a[row][kk] · b[kk][col]` for
@@ -122,29 +125,47 @@ fn row_block<const R: usize>(
     let start: [f32; R] = std::array::from_fn(|r| bias.map_or(0.0, |b| b[gi + r]));
     let full = n - n % NR;
     for j0 in (0..full).step_by(NR) {
-        tile(&arows, start, b, oblk, j0, NR, n);
+        let acc = tile(&arows, start, b, n, j0, NR);
+        store(&acc, oblk.chunks_exact_mut(n), j0, NR);
     }
     if full < n {
-        tile(&arows, start, b, oblk, full, n - full, n);
+        let acc = tile(&arows, start, b, n, full, n - full);
+        store(&acc, oblk.chunks_exact_mut(n), full, n - full);
     }
 }
 
-/// One tile: columns `j0..j0 + width` (`width ≤ NR`) of `R` rows.
+/// Stores columns `..width` of each accumulator row at columns
+/// `j0..j0 + width` of its output row.
+#[inline(always)]
+fn store<'o, const R: usize>(
+    acc: &[[f32; NR]; R],
+    orows: impl Iterator<Item = &'o mut [f32]>,
+    j0: usize,
+    width: usize,
+) {
+    for (accr, orow) in acc.iter().zip(orows) {
+        orow[j0..j0 + width].copy_from_slice(&accr[..width]);
+    }
+}
+
+/// The one f32 MAC loop: `R` rows of `a` times columns `j0..j0 + width`
+/// (`width ≤ NR`) of `b`, whose rows are `stride` apart. Row `r` starts
+/// at `start[r]` and adds `arows[r][kk] · b[kk][col]` for ascending `kk`.
+/// Returns the accumulators; lanes past `width` are unspecified.
 #[inline(always)]
 fn tile<const R: usize>(
     arows: &[&[f32]; R],
     start: [f32; R],
     b: &[f32],
-    oblk: &mut [f32],
+    stride: usize,
     j0: usize,
     width: usize,
-    n: usize,
-) {
+) -> [[f32; NR]; R] {
     // Opaque start values: where LLVM sees the matmuls' constant `0.0`,
     // its vectoriser shuffles the tile between registers every `k` step
     // and the loop runs ~35 % slower.
     let mut acc = std::hint::black_box(start).map(|v| [v; NR]);
-    for (kk, brow) in b.chunks_exact(n).enumerate() {
+    for (kk, brow) in b.chunks_exact(stride).enumerate() {
         let bt = &brow[j0..j0 + width];
         for (accr, arow) in acc.iter_mut().zip(arows) {
             let av = arow[kk];
@@ -153,9 +174,7 @@ fn tile<const R: usize>(
             }
         }
     }
-    for (accr, orow) in acc.iter().zip(oblk.chunks_exact_mut(n)) {
-        orow[j0..j0 + width].copy_from_slice(&accr[..width]);
-    }
+    acc
 }
 
 /// Serial matrix multiply: `out = a · b` with `a` m×k, `b` k×n (all
@@ -178,10 +197,20 @@ pub fn matmul_f32_parallel(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: u
     });
 }
 
+/// Output size of a `k`-tap, `stride`, `pad` convolution along an
+/// `len`-long axis.
+fn conv_out_len(len: usize, k: usize, stride: usize, pad: usize) -> usize {
+    (len + 2 * pad).saturating_sub(k) / stride + 1
+}
+
 /// Unfolds a `[ch, h, w]` input into the im2col matrix for a
 /// `kh×kw`/`stride`/`pad` convolution: row `(c·kh + ky)·kw + kx`,
 /// column `oy·ow + ox` holds the padded input pixel under kernel tap
 /// `(ky, kx)` at output position `(oy, ox)`.
+///
+/// [`conv2d_f32`] packs this matrix one 8-column panel at a time and
+/// never builds it whole; the tests and benchmarks compare it against a
+/// GEMM over this reference.
 ///
 /// Returns `(oh, ow)`; `cols` is resized to `ch·kh·kw × oh·ow`.
 #[expect(clippy::too_many_arguments, reason = "conv geometry as plain dims")]
@@ -198,8 +227,8 @@ pub fn im2col(
 ) -> (usize, usize) {
     assert_eq!(input.len(), ch * h * w, "input is [ch, h, w]");
     assert!(stride > 0, "stride must be positive");
-    let oh = (h + 2 * pad).saturating_sub(kh) / stride + 1;
-    let ow = (w + 2 * pad).saturating_sub(kw) / stride + 1;
+    let oh = conv_out_len(h, kh, stride, pad);
+    let ow = conv_out_len(w, kw, stride, pad);
     let npix = oh * ow;
     cols.clear();
     cols.resize(ch * kh * kw * npix, 0.0);
@@ -229,14 +258,198 @@ pub fn im2col(
     (oh, ow)
 }
 
-/// im2col convolution: `weights` is `[oc, ch·kh·kw]` row-major, `bias`
-/// has one entry per output channel, and the result `[oc, oh, ow]` is
-/// written to `out`. The GEMM of `weights` by the im2col matrix runs in
-/// row bands on the f32 matmuls' register-blocked worker: each output
-/// pixel starts at its bias and accumulates in ascending `(c, ky, kx)`
-/// order, the same order as a direct scalar convolution loop.
+/// The geometry of one convolution call, over the zero-padded input
+/// ([`ConvShape::padded`]).
+struct ConvShape {
+    ch: usize,
+    kh: usize,
+    kw: usize,
+    stride: usize,
+    oh: usize,
+    ow: usize,
+    /// Width and size of one padded input plane.
+    pw: usize,
+    plane: usize,
+}
+
+impl ConvShape {
+    fn new(ch: usize, hw: (usize, usize), khw: (usize, usize), stride: usize, pad: usize) -> Self {
+        let ((h, w), (kh, kw)) = (hw, khw);
+        let oh = conv_out_len(h, kh, stride, pad);
+        let ow = conv_out_len(w, kw, stride, pad);
+        // Every tap of every output pixel lies inside the padded plane,
+        // also when a kernel is larger than its padded input.
+        let ph = (h + 2 * pad).max((oh - 1) * stride + kh);
+        let pw = (w + 2 * pad).max((ow - 1) * stride + kw);
+        Self {
+            ch,
+            kh,
+            kw,
+            stride,
+            oh,
+            ow,
+            pw,
+            plane: ph * pw,
+        }
+    }
+
+    /// Output pixels per channel; never 0, as `oh` and `ow` are at least 1.
+    fn npix(&self) -> usize {
+        self.oh * self.ow
+    }
+
+    /// Zeros before the first and after the last padded plane: a whole
+    /// `NR`-lane read in [`ConvShape::pack`] may start up to `NR - 1`
+    /// strides before a run's first pixel and end as far past its last.
+    fn slack(&self) -> usize {
+        NR * self.stride
+    }
+
+    /// The `[ch, h, w]` input with `pad` zeros around each plane, between
+    /// [`ConvShape::slack`] zeros: one pass over the input, after which
+    /// packing needs no bounds checks.
+    fn padded(&self, input: &[f32], (h, w): (usize, usize), pad: usize) -> Vec<f32> {
+        let slack = self.slack();
+        let mut xp = vec![0.0f32; slack + self.ch * self.plane + slack];
+        for c in 0..self.ch {
+            for y in 0..h {
+                let at = slack + c * self.plane + (y + pad) * self.pw + pad;
+                xp[at..at + w].copy_from_slice(&input[(c * h + y) * w..][..w]);
+            }
+        }
+        xp
+    }
+
+    /// Packs output pixels `p0..p0 + width` (`width ≤ NR`) into `panel`,
+    /// their `kdim × NR` block of the im2col matrix: row
+    /// `(c·kh + ky)·kw + kx`, lane `l` holds the padded input `xp` under
+    /// tap `(ky, kx)` at output pixel `p0 + l`. Padded taps and lanes past
+    /// `width` hold `0.0`.
+    ///
+    /// A block splits into one run of lanes per output row it touches.
+    /// At stride 1, each row of a one-run block is one `NR`-float copy;
+    /// every other block fills each row run by run, every run a fixed
+    /// `NR`-lane select from its row of `xp`. No block falls back to
+    /// per-pixel bounds checks.
+    fn pack(&self, xp: &[f32], p0: usize, width: usize, panel: &mut [f32]) {
+        let (stride, ow, pw) = (self.stride, self.ow, self.pw);
+        // (first lane, lanes, `xp` index of tap (0, 0) under lane 0 as
+        // if the run's row went on to the left) per run.
+        let mut runs = [(0, 0, 0); NR];
+        let mut nruns = 0;
+        let (mut oy, mut ox) = (p0 / ow, p0 % ow);
+        let mut lane = 0;
+        while lane < width {
+            let len = (ow - ox).min(width - lane);
+            let start = self.slack() + oy * stride * pw + ox * stride;
+            runs[nruns] = (lane, len, start - lane * stride);
+            nruns += 1;
+            lane += len;
+            (oy, ox) = (oy + 1, 0);
+        }
+        let runs = &runs[..nruns];
+        // One contiguous run over every lane: a plain copy.
+        let whole = width == NR && nruns == 1 && stride == 1;
+        let span = (NR - 1) * stride + 1;
+        // Panel rows in `(c, ky, kx)` order; `panel` has exactly one per tap.
+        let mut rows = panel.chunks_exact_mut(NR);
+        for c in 0..self.ch {
+            for ky in 0..self.kh {
+                for kx in 0..self.kw {
+                    let Some(row) = rows.next() else { return };
+                    let at = c * self.plane + ky * pw + kx;
+                    if whole {
+                        row.copy_from_slice(&xp[at + runs[0].2..][..NR]);
+                        continue;
+                    }
+                    let mut v = [0.0f32; NR];
+                    for &(lane, len, base) in runs {
+                        let src = &xp[at + base..][..span];
+                        for (l, o) in v.iter_mut().enumerate() {
+                            if (lane..lane + len).contains(&l) {
+                                *o = src[l * stride];
+                            }
+                        }
+                    }
+                    row.copy_from_slice(&v);
+                }
+            }
+        }
+    }
+
+    /// Computes pixel blocks `blocks` (of `NR` output pixels each) of
+    /// every output channel. `orows` holds each channel's slice of those
+    /// blocks' outputs. Each block's panel is packed once and then run
+    /// through [`tile`] for every `MR`-channel block, then for each
+    /// channel past the last multiple of `MR`.
+    fn blocks(
+        &self,
+        xp: &[f32],
+        weights: &[f32],
+        bias: &[f32],
+        blocks: Range<usize>,
+        orows: &mut [&mut [f32]],
+    ) {
+        let kdim = self.ch * self.kh * self.kw;
+        let mut panel = vec![0.0f32; kdim * NR];
+        let first = blocks.start * NR;
+        for blk in blocks {
+            let p0 = blk * NR;
+            let width = NR.min(self.npix() - p0);
+            self.pack(xp, p0, width, &mut panel);
+            let j0 = p0 - first;
+            let mut groups = orows.chunks_exact_mut(MR);
+            let mut oc0 = 0;
+            for group in &mut groups {
+                channels::<MR>(weights, bias, oc0, kdim, &panel, group, j0, width);
+                oc0 += MR;
+            }
+            for group in groups.into_remainder().chunks_exact_mut(1) {
+                channels::<1>(weights, bias, oc0, kdim, &panel, group, j0, width);
+                oc0 += 1;
+            }
+        }
+    }
+}
+
+/// Output channels `oc0..oc0 + R` of one packed pixel block, stored at
+/// columns `j0..j0 + width` of `orows`.
+#[inline(always)]
+#[expect(clippy::too_many_arguments, reason = "one tile's operands and place")]
+fn channels<const R: usize>(
+    weights: &[f32],
+    bias: &[f32],
+    oc0: usize,
+    kdim: usize,
+    panel: &[f32],
+    orows: &mut [&mut [f32]],
+    j0: usize,
+    width: usize,
+) {
+    let wrows: [&[f32]; R] =
+        std::array::from_fn(|r| &weights[(oc0 + r) * kdim..(oc0 + r + 1) * kdim]);
+    let start: [f32; R] = std::array::from_fn(|r| bias[oc0 + r]);
+    let acc = tile(&wrows, start, panel, NR, 0, NR);
+    store(&acc, orows.iter_mut().map(|r| &mut **r), j0, width);
+}
+
+/// Implicit-GEMM convolution: `weights` is `[oc, ch·kh·kw]` row-major,
+/// `bias` has one entry per output channel, and the result `[oc, oh, ow]`
+/// is written to `out`.
 ///
-/// `cols` is scratch reused across calls to avoid re-allocating.
+/// No im2col matrix is built. The input is copied once with its zero
+/// padding; then, for each block of `NR` output pixels, the kernel packs
+/// that block's `ch·kh·kw × NR` panel of the im2col matrix (≤ 18 KiB for
+/// ResNet20, so it stays in L1) and runs the f32 matmuls' register tile
+/// over it for every block of output channels. Large outputs run in bands
+/// of pixel blocks, one band per thread, each packing only its own
+/// panels.
+///
+/// Each output pixel starts at its bias and adds `w·x` in ascending
+/// `(c, ky, kx)` order, one multiply and one add per tap, `w·0.0` on
+/// padded taps included: a direct loop's order, bit for bit, whatever
+/// the band split.
+///
 /// Returns `(oh, ow)`.
 #[expect(clippy::too_many_arguments, reason = "conv geometry as plain dims")]
 pub fn conv2d_f32(
@@ -251,22 +464,39 @@ pub fn conv2d_f32(
     kw: usize,
     stride: usize,
     pad: usize,
-    cols: &mut Vec<f32>,
     out: &mut Vec<f32>,
 ) -> (usize, usize) {
     let kdim = ch * kh * kw;
+    assert_eq!(input.len(), ch * h * w, "input is [ch, h, w]");
     assert_eq!(weights.len(), oc * kdim, "weights are [oc, ch*kh*kw]");
     assert_eq!(bias.len(), oc, "one bias per output channel");
+    assert!(stride > 0, "stride must be positive");
     let _span = nga_obs::span("conv2d_f32");
-    let (oh, ow) = im2col(input, ch, h, w, kh, kw, stride, pad, cols);
-    let npix = oh * ow;
+    let shape = ConvShape::new(ch, (h, w), (kh, kw), stride, pad);
+    let npix = shape.npix();
     obs_macs(oc, kdim, npix, 0, None);
     out.clear();
     out.resize(oc * npix, 0.0);
-    for_each_band(out.as_mut_slice(), oc, npix, |rows, oband| {
-        gemm_f32_rows(weights, cols, oband, rows, kdim, npix, Some(bias));
+    // Each band's slice of every output channel's row.
+    let bands = bands_for(oc * npix, npix.div_ceil(NR));
+    let mut work: Vec<_> = bands
+        .into_iter()
+        .map(|band| (band, Vec::with_capacity(oc)))
+        .collect();
+    for row in out.chunks_exact_mut(npix) {
+        let mut rest = row;
+        for (band, orows) in &mut work {
+            let len = (band.end * NR).min(npix) - band.start * NR;
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            orows.push(head);
+            rest = tail;
+        }
+    }
+    let xp = shape.padded(input, (h, w), pad);
+    run_bands(work, |(band, mut orows)| {
+        shape.blocks(&xp, weights, bias, band, &mut orows);
     });
-    (oh, ow)
+    (shape.oh, shape.ow)
 }
 
 // ---------------------------------------------------------------------
@@ -550,11 +780,8 @@ pub(crate) mod tests {
         let input: Vec<f32> = (0..9).map(|v| v as f32 * 0.1).collect();
         let weights = vec![1.0f32]; // 1 out-channel, 1×1 kernel
         let bias = vec![0.0f32];
-        let mut cols = Vec::new();
         let mut out = Vec::new();
-        let (oh, ow) = conv2d_f32(
-            &input, 1, 3, 3, &weights, &bias, 1, 1, 1, 1, 0, &mut cols, &mut out,
-        );
+        let (oh, ow) = conv2d_f32(&input, 1, 3, 3, &weights, &bias, 1, 1, 1, 1, 0, &mut out);
         assert_eq!((oh, ow), (3, 3));
         assert_eq!(out, input);
     }

@@ -173,52 +173,111 @@ fn f32_tiles_and_tails_match_the_naive_reference() {
     }
 }
 
+/// A conv call's geometry: `(ch, h, w, oc, kh, kw, stride, pad)`.
+type ConvGeometry = (usize, usize, usize, usize, usize, usize, usize, usize);
+
+/// `conv2d_f32` on `(ch, h, w, oc, kh, kw, stride, pad)` with inputs,
+/// weights and biases from `seed`, checked bit for bit against the direct
+/// loop and, with `gemm`, against a naive GEMM over `im2col` too.
+fn check_conv(
+    (ch, h, w, oc, kh, kw, stride, pad): ConvGeometry,
+    seed: u64,
+    special: bool,
+    gemm: bool,
+) {
+    let kdim = ch * kh * kw;
+    let input = f32_values(seed, ch * h * w, special);
+    let weights = f32_values(seed + 1, oc * kdim, special);
+    let bias = f32_values(seed + 2, oc, special);
+    let mut out = Vec::new();
+    let (oh, ow) = conv2d_f32(
+        &input, ch, h, w, &weights, &bias, oc, kh, kw, stride, pad, &mut out,
+    );
+    let label = format!(
+        "conv {:?} seed={seed} special={special}",
+        (ch, h, w, oc, kh, kw, stride, pad)
+    );
+    let got = f32_bits(&out);
+
+    let (direct, direct_hw) = naive_conv2d_f32(
+        &input,
+        (ch, h, w),
+        &weights,
+        &bias,
+        oc,
+        (kh, kw),
+        stride,
+        pad,
+    );
+    assert_eq!((oh, ow), direct_hw, "{label}: output size");
+    assert_eq!(got, f32_bits(&direct), "{label}: direct loop");
+
+    if gemm {
+        let mut unfolded = Vec::new();
+        im2col(&input, ch, h, w, kh, kw, stride, pad, &mut unfolded);
+        let gemm = naive_matmul_f32(&weights, &unfolded, Some(&bias), oc, kdim, oh * ow);
+        assert_eq!(got, f32_bits(&gemm), "{label}: naive GEMM over im2col");
+    }
+}
+
 #[test]
 fn conv2d_f32_matches_both_naive_references() {
-    // (ch, h, w, oc, kh, kw, stride, pad): a ResNet20 stage-1 conv, which
-    // runs in row bands; k = 1; fewer than 8 and non-multiple-of-8 output
-    // pixels; strided, asymmetric and wide-padded kernels; 17 output
-    // channels over 1760 pixels, banded with a row tail.
+    // (ch, h, w, oc, kh, kw, stride, pad).
     let shapes = [
+        // ResNet20: a stage-1 conv, which runs in pixel-block bands; the
+        // stride-2 3×3 conv that opens stage 2; its 1×1 stride-2
+        // projection.
         (16, 32, 32, 16, 3, 3, 1, 1),
+        (16, 32, 32, 32, 3, 3, 2, 1),
+        (16, 32, 32, 32, 1, 1, 2, 0),
+        // kws_mini's conv: ow = 10, so 8-pixel blocks straddle rows.
+        (1, 24, 10, 8, 3, 3, 1, 1),
+        // k = 1; fewer than 8 and non-multiple-of-8 output pixels.
         (1, 5, 5, 3, 1, 1, 1, 0),
         (2, 3, 3, 5, 3, 3, 1, 1),
+        // Planes narrower than a block (ow = 3, 4, 2): up to four rows
+        // per block.
         (3, 7, 6, 6, 3, 3, 2, 1),
+        (5, 6, 4, 6, 3, 3, 1, 1),
         (2, 4, 4, 7, 2, 2, 2, 0),
+        // Strided, asymmetric and wide-padded kernels; oc % 4 != 0.
         (4, 9, 11, 9, 5, 3, 1, 2),
+        (3, 10, 13, 5, 3, 5, 3, 2),
+        // 17 output channels over 1760 pixels, banded with a channel tail.
         (3, 40, 44, 17, 3, 3, 1, 1),
     ];
-    for (i, (ch, h, w, oc, kh, kw, stride, pad)) in shapes.into_iter().enumerate() {
-        let kdim = ch * kh * kw;
+    for (i, shape) in shapes.into_iter().enumerate() {
         for special in [false, true] {
-            let seed = 10 * i as u64;
-            let input = f32_values(seed, ch * h * w, special);
-            let weights = f32_values(seed + 1, oc * kdim, special);
-            let bias = f32_values(seed + 2, oc, special);
-            let (mut cols, mut out) = (Vec::new(), Vec::new());
-            let (oh, ow) = conv2d_f32(
-                &input, ch, h, w, &weights, &bias, oc, kh, kw, stride, pad, &mut cols, &mut out,
-            );
-            let label = format!("conv {:?} special={special}", shapes[i]);
-            let got = f32_bits(&out);
+            check_conv(shape, 10 * i as u64, special, true);
+        }
+    }
+}
 
-            let (direct, direct_hw) = naive_conv2d_f32(
-                &input,
-                (ch, h, w),
-                &weights,
-                &bias,
-                oc,
-                (kh, kw),
-                stride,
-                pad,
-            );
-            assert_eq!((oh, ow), direct_hw, "{label}: output size");
-            assert_eq!(got, f32_bits(&direct), "{label}: direct loop");
-
-            let mut unfolded = Vec::new();
-            im2col(&input, ch, h, w, kh, kw, stride, pad, &mut unfolded);
-            let gemm = naive_matmul_f32(&weights, &unfolded, Some(&bias), oc, kdim, oh * ow);
-            assert_eq!(got, f32_bits(&gemm), "{label}: naive GEMM over im2col");
+/// An infinite weight on the tap that only ever sees padding at the
+/// borders: `inf · 0.0` is NaN, so the border outputs are NaN. This pins
+/// that padded taps still add `w · 0.0` rather than being skipped.
+#[test]
+fn padded_taps_add_weight_times_zero() {
+    let (h, w) = (5, 6);
+    let input: Vec<f32> = (0..h * w).map(|i| 0.5 + i as f32).collect();
+    // One output channel, 3×3, pad 1: tap (0, 0) reads the padding on
+    // output row 0 and column 0 and positive pixels elsewhere.
+    let mut weights = vec![0.25f32; 9];
+    weights[0] = f32::INFINITY;
+    let mut out = Vec::new();
+    let (oh, ow) = conv2d_f32(&input, 1, h, w, &weights, &[0.0], 1, 3, 3, 1, 1, &mut out);
+    assert_eq!((oh, ow), (h, w));
+    for oy in 0..oh {
+        for ox in 0..ow {
+            let v = out[oy * ow + ox];
+            if oy == 0 || ox == 0 {
+                assert!(
+                    v.is_nan(),
+                    "({oy}, {ox}): inf·0.0 on a padded tap gives NaN, got {v}"
+                );
+            } else {
+                assert_eq!(v, f32::INFINITY, "({oy}, {ox})");
+            }
         }
     }
 }
@@ -231,6 +290,34 @@ fn shapes() -> impl Strategy<Value = (usize, usize, usize)> {
         (1usize..24, 1usize..16, 1usize..24),
         (16usize..24, 1usize..4, 1024usize..1100)
     ]
+}
+
+/// Random conv geometry: kernels of 1–5 taps a side, padding below the
+/// smaller side, stride 1–3, planes of 1–20 pixels a side, 1–5 input and
+/// 1–9 output channels.
+fn conv_geometry() -> impl Strategy<Value = ConvGeometry> {
+    (
+        (1usize..6, 1usize..6).prop_flat_map(|(kh, kw)| (Just(kh), Just(kw), 0..kh.min(kw))),
+        1usize..4,
+        (1usize..21, 1usize..21),
+        (1usize..6, 1usize..10),
+    )
+        .prop_map(|((kh, kw, pad), stride, (h, w), (ch, oc))| (ch, h, w, oc, kh, kw, stride, pad))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn conv2d_f32_matches_the_direct_loop_on_random_geometry(
+        shape in conv_geometry(),
+        seed in 0u64..1_000_000,
+    ) {
+        let (_, h, w, _, kh, kw, _, pad) = shape;
+        // The direct loop needs every kernel to fit its padded input.
+        prop_assume!(h + 2 * pad >= kh && w + 2 * pad >= kw);
+        check_conv(shape, seed, seed % 2 == 0, false);
+    }
 }
 
 proptest! {

@@ -111,12 +111,12 @@ impl Conv2d {
         assert_eq!(x.shape()[0], in_ch, "channel count");
         let (h, w) = (x.shape()[1], x.shape()[2]);
         let os = self.out_shape(x.shape());
-        // im2col + nga-kernels' register-blocked f32 GEMM, in row bands.
+        // nga-kernels' implicit-GEMM conv: 8-pixel im2col panels packed in
+        // L1 and run through the f32 register tile, in pixel-block bands.
         // Each output pixel starts at the bias and adds w·x for ascending
         // (ic, ky, kx), one multiply and one add per tap, whatever the
         // tile or band split: a direct loop's order, except that padded
         // taps also add w·0.0.
-        let mut cols = Vec::new();
         let mut out = Vec::new();
         nga_kernels::conv2d_f32(
             x.data(),
@@ -130,7 +130,6 @@ impl Conv2d {
             k,
             self.stride,
             self.pad,
-            &mut cols,
             &mut out,
         );
         Tensor::from_vec(&os, out)

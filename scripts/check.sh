@@ -11,15 +11,19 @@ cargo build --release
 # tests run at once fails one of the two.
 cargo test -q --workspace
 cargo test -q --workspace -- --test-threads=1
-# The equivalence and status tests with three worker threads, so their
-# banded shapes split into row bands even on a one-CPU host, where the
-# default thread count makes no bands at all: f32 bands that start
-# part-way through the f32 worker's 4-row register tile, and the status
-# path's bands over the fused value+event tables.
-NGA_THREADS=3 cargo test -q -p nga-kernels --test equivalence --test status
+# The equivalence and status tests, and nga-nn's whole-ResNet20
+# differential test, with three worker threads, so their banded shapes
+# split into bands even on a one-CPU host, where the default thread
+# count makes no bands at all: f32 matmul row bands that start part-way
+# through the f32 worker's 4-row register tile, conv2d_f32's bands of
+# 8-pixel blocks (each packing its own panels), and the status path's
+# bands over the fused value+event tables.
+NGA_THREADS=3 cargo test -q -p nga-kernels -p nga-nn --test equivalence --test status \
+    --test conv_differential
 # And on one worker thread, so the parallel tier runs its shapes above
 # the banding threshold as a single serial band.
-NGA_THREADS=1 cargo test -q -p nga-kernels --test equivalence --test status
+NGA_THREADS=1 cargo test -q -p nga-kernels -p nga-nn --test equivalence --test status \
+    --test conv_differential
 # The recording-off build: nga-obs, nga-kernels and nga-nn (doctests
 # included) must pass with every trace entry point compiled to a no-op.
 cargo test -q -p nga-obs -p nga-kernels -p nga-nn \
