@@ -16,9 +16,11 @@ use crate::table::{add_table, mul_table};
 /// * **Status** — every op folds its [`Event8`] into the context's
 ///   [`StatusCounters`]; [`events`](Self::events) is the sticky union,
 ///   IEEE-flag style.
-/// * **Trace** — the context opens an `nga-obs` span at construction and
-///   attributes its ops there, so a [`nga_obs::snapshot`] breaks work
-///   down by context label.
+/// * **Trace** — the context opens an `nga-obs` span at construction.
+///   Tensor ops record into kernel scopes under it as they run; scalar
+///   ops add to counts the context owns, which it records in its own
+///   scope once, when it is dropped. So a [`nga_obs::snapshot`] taken
+///   after the drop breaks work down by context label.
 ///
 /// ```
 /// use nga_kernels::{ArithCtx, Event8, Format8, KernelTier};
@@ -43,6 +45,8 @@ use crate::table::{add_table, mul_table};
 pub struct ArithCtx {
     tier: KernelTier,
     counters: StatusCounters,
+    /// Scalar-op counts not yet in the trace registry (published on drop).
+    trace: nga_obs::OpCounts,
     span: nga_obs::Span,
 }
 
@@ -61,6 +65,7 @@ impl ArithCtx {
         Self {
             tier: KernelTier::default(),
             counters: StatusCounters::new(),
+            trace: nga_obs::OpCounts::default(),
             span: nga_obs::span(label),
         }
     }
@@ -131,16 +136,18 @@ impl ArithCtx {
         r
     }
 
-    /// Folds one scalar op's events into the sticky status and, through
-    /// `nga-obs`'s thread-local buffer, into the context's trace scope.
+    /// Folds one scalar op's events into the sticky status and into the
+    /// context's own trace counts, which reach its trace scope when it is
+    /// dropped. The trace update takes no lock and no allocation, and
+    /// compiles away under `obs-off`.
     #[inline]
     fn fold_scalar(&mut self, ev: Event8, count_op: impl FnOnce(&mut nga_obs::OpCounts)) {
         self.counters.record(ev);
-        nga_obs::record_at(self.span.path(), |c| {
-            count_op(c);
-            c.ops = c.ops.saturating_add(1);
-            c.add_event_bits(ev.bits());
-        });
+        if nga_obs::ENABLED {
+            count_op(&mut self.trace);
+            self.trace.ops = self.trace.ops.saturating_add(1);
+            self.trace.add_event_bits(ev.bits());
+        }
     }
 
     /// `out = a · b` over 8-bit format codes through the selected tier.
@@ -174,6 +181,14 @@ impl ArithCtx {
 impl Default for ArithCtx {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+impl Drop for ArithCtx {
+    /// Records the context's scalar-op counts in its trace scope, before
+    /// the span closes.
+    fn drop(&mut self) {
+        nga_obs::record_at(self.span.path(), |c| c.merge(&self.trace));
     }
 }
 
@@ -219,7 +234,7 @@ mod tests {
     }
 
     /// A context used and dropped on a scoped worker has published its
-    /// buffered trace counts by the time the scope returns.
+    /// scalar counts by the time the scope returns.
     #[cfg(not(feature = "obs-off"))]
     #[test]
     fn worker_ctx_counts_are_visible_after_the_scope() {
@@ -269,6 +284,8 @@ mod tests {
                 let _ = ctx.add(fmt, 0x7C, 0xFC);
             }
         }
+        let counters = *ctx.counters();
+        drop(ctx);
         let mut traced = nga_obs::OpCounts::default();
         for row in nga_obs::snapshot().scopes {
             if row.path == label || row.path.starts_with(&format!("{label}/")) {
@@ -276,12 +293,63 @@ mod tests {
             }
         }
         let mut want = nga_obs::OpCounts::default();
-        ctx.counters().fold_into_obs(&mut want);
+        counters.fold_into_obs(&mut want);
         assert!(want.nar_nan > 0, "E5M2 ∞·0 and ∞ + −∞ raise NaN");
         assert_eq!(
             (traced.ops, traced.nar_nan, traced.events_total()),
             (want.ops, want.nar_nan, want.events_total())
         );
+    }
+
+    /// Scalar counts go to the context's own label even when the
+    /// innermost span at the drop is one the context did not open.
+    #[cfg(not(feature = "obs-off"))]
+    #[test]
+    fn drop_under_an_inner_span_publishes_at_the_label() {
+        let label = "ctx-test-inner";
+        let mut ctx = ArithCtx::labeled(label);
+        let inner = nga_obs::span("inner");
+        assert_eq!(inner.path(), "ctx-test-inner/inner");
+        for _ in 0..3 {
+            let _ = ctx.mul(Format8::Posit8, 0x40, 0x40);
+        }
+        let _ = ctx.add(Format8::Posit8, 0x40, 0x40);
+        drop(ctx);
+        drop(inner);
+        let report = nga_obs::snapshot();
+        let own = report.get(label).copied().unwrap_or_default();
+        assert_eq!((own.calls, own.muls, own.adds, own.ops), (1, 3, 1, 4));
+        let entered_only = nga_obs::OpCounts {
+            calls: 1,
+            ..nga_obs::OpCounts::default()
+        };
+        assert_eq!(report.get("ctx-test-inner/inner"), Some(&entered_only));
+    }
+
+    /// A live context's scalar counts are not in a snapshot; after the
+    /// drop they are, once, equal to its scalar ops.
+    #[cfg(not(feature = "obs-off"))]
+    #[test]
+    fn scalar_counts_reach_the_trace_once_on_drop() {
+        let label = "ctx-test-live";
+        let mut ctx = ArithCtx::labeled(label);
+        for fmt in Format8::ALL {
+            let _ = ctx.mul(fmt, 0x7C, 0x00);
+            let _ = ctx.add(fmt, 0x7C, 0xFC);
+        }
+        let at_label = || nga_obs::snapshot().get(label).copied().unwrap_or_default();
+        let mut want = nga_obs::OpCounts {
+            calls: 1,
+            ..nga_obs::OpCounts::default()
+        };
+        assert_eq!(at_label(), want, "live: only the span entry");
+        ctx.counters().fold_into_obs(&mut want);
+        (want.muls, want.adds) = (4, 4);
+        drop(ctx);
+        assert_eq!(at_label(), want);
+        assert_eq!(at_label(), want, "a second snapshot adds nothing");
+        assert_eq!(want.ops, 8);
+        assert!(want.nar_nan > 0, "E5M2 ∞·0 and ∞ + −∞ raise NaN");
     }
 
     #[test]

@@ -47,7 +47,7 @@ mod tensor;
 pub use ctx::ArithCtx;
 pub use format8::Format8;
 pub use kernel::KernelTier;
-pub use parallel::{for_each_band, num_threads, split_bands};
+pub use parallel::{for_each_band, num_threads};
 pub use status::{Event8, StatusCounters};
 pub use table::{add_table, mac_table, mul_table, BinaryTable, LutOp, MacTable, StatusOp};
 pub use tensor::{

@@ -37,7 +37,7 @@ pub fn num_threads() -> usize {
 /// Splits `0..n` into at most `parts` contiguous near-equal ranges
 /// (never returns an empty range; may return fewer than `parts`).
 #[must_use]
-pub fn split_bands(n: usize, parts: usize) -> Vec<Range<usize>> {
+pub(crate) fn split_bands(n: usize, parts: usize) -> Vec<Range<usize>> {
     let parts = parts.clamp(1, n.max(1));
     let base = n / parts;
     let extra = n % parts;
@@ -55,8 +55,8 @@ pub fn split_bands(n: usize, parts: usize) -> Vec<Range<usize>> {
 }
 
 /// Output elements below which a banded kernel stays serial: under ~16k
-/// outputs the per-thread spawn cost (~10 µs) is comparable to the work
-/// itself.
+/// outputs the per-thread spawn cost (15–45 µs for an empty scoped
+/// spawn+join on a 2-vCPU Xeon VM) is comparable to the work itself.
 const PARALLEL_MIN_OUTPUTS: usize = 16_384;
 
 /// The bands a kernel with `outputs` output elements runs in, as ranges

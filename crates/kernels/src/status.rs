@@ -197,17 +197,11 @@ impl fmt::Display for Event8 {
 /// row-banded parallel kernels produce the same totals as serial ones no
 /// matter how rows are partitioned — the status analogue of the
 /// bit-identical-output guarantee.
+///
+/// The counts live in an [`nga_obs::OpCounts`], of which only `ops` and
+/// the seven event fields are ever set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatusCounters {
-    ops: u64,
-    nar_nan: u64,
-    inexact: u64,
-    overflow: u64,
-    underflow: u64,
-    div_by_zero: u64,
-    saturated: u64,
-    wrapped: u64,
-}
+pub struct StatusCounters(nga_obs::OpCounts);
 
 impl StatusCounters {
     /// All counters zero.
@@ -228,51 +222,46 @@ impl StatusCounters {
     #[inline]
     pub(crate) fn add_tally(&mut self, ops: u64, tally: u64) {
         let lane = |bit: u32| (tally >> (TALLY_LANE_BITS * bit)) & TALLY_LANE_MAX;
-        self.ops = self.ops.saturating_add(ops);
-        self.nar_nan = self.nar_nan.saturating_add(lane(0));
-        self.inexact = self.inexact.saturating_add(lane(1));
-        self.overflow = self.overflow.saturating_add(lane(2));
-        self.underflow = self.underflow.saturating_add(lane(3));
-        self.div_by_zero = self.div_by_zero.saturating_add(lane(4));
-        self.saturated = self.saturated.saturating_add(lane(5));
-        self.wrapped = self.wrapped.saturating_add(lane(6));
+        let c = &mut self.0;
+        c.ops = c.ops.saturating_add(ops);
+        c.nar_nan = c.nar_nan.saturating_add(lane(0));
+        c.inexact = c.inexact.saturating_add(lane(1));
+        c.overflow = c.overflow.saturating_add(lane(2));
+        c.underflow = c.underflow.saturating_add(lane(3));
+        c.div_by_zero = c.div_by_zero.saturating_add(lane(4));
+        c.saturated = c.saturated.saturating_add(lane(5));
+        c.wrapped = c.wrapped.saturating_add(lane(6));
     }
 
     /// Fold another accumulator into this one (order-independent).
     pub fn merge(&mut self, other: &Self) {
-        self.ops = self.ops.saturating_add(other.ops);
-        self.nar_nan = self.nar_nan.saturating_add(other.nar_nan);
-        self.inexact = self.inexact.saturating_add(other.inexact);
-        self.overflow = self.overflow.saturating_add(other.overflow);
-        self.underflow = self.underflow.saturating_add(other.underflow);
-        self.div_by_zero = self.div_by_zero.saturating_add(other.div_by_zero);
-        self.saturated = self.saturated.saturating_add(other.saturated);
-        self.wrapped = self.wrapped.saturating_add(other.wrapped);
+        self.0.merge(&other.0);
     }
 
     /// The sticky union: every event raised at least once.
     #[must_use]
     pub fn union(&self) -> Event8 {
+        let c = &self.0;
         let mut ev = Event8::NONE;
-        if self.nar_nan > 0 {
+        if c.nar_nan > 0 {
             ev |= Event8::NAR_NAN;
         }
-        if self.inexact > 0 {
+        if c.inexact > 0 {
             ev |= Event8::INEXACT;
         }
-        if self.overflow > 0 {
+        if c.overflow > 0 {
             ev |= Event8::OVERFLOW;
         }
-        if self.underflow > 0 {
+        if c.underflow > 0 {
             ev |= Event8::UNDERFLOW;
         }
-        if self.div_by_zero > 0 {
+        if c.div_by_zero > 0 {
             ev |= Event8::DIV_BY_ZERO;
         }
-        if self.saturated > 0 {
+        if c.saturated > 0 {
             ev |= Event8::SATURATED;
         }
-        if self.wrapped > 0 {
+        if c.wrapped > 0 {
             ev |= Event8::WRAPPED;
         }
         ev
@@ -282,62 +271,55 @@ impl StatusCounters {
     /// [`ops`](Self::ops) accumulates into [`nga_obs::OpCounts::ops`] and
     /// each event count into its counterpart field.
     pub fn fold_into_obs(&self, c: &mut nga_obs::OpCounts) {
-        c.ops = c.ops.saturating_add(self.ops);
-        c.nar_nan = c.nar_nan.saturating_add(self.nar_nan);
-        c.inexact = c.inexact.saturating_add(self.inexact);
-        c.overflow = c.overflow.saturating_add(self.overflow);
-        c.underflow = c.underflow.saturating_add(self.underflow);
-        c.div_by_zero = c.div_by_zero.saturating_add(self.div_by_zero);
-        c.saturated = c.saturated.saturating_add(self.saturated);
-        c.wrapped = c.wrapped.saturating_add(self.wrapped);
+        c.merge(&self.0);
     }
 
     /// Operations recorded.
     #[must_use]
     pub fn ops(&self) -> u64 {
-        self.ops
+        self.0.ops
     }
 
     /// Operations that produced NaN/NaR from clean inputs.
     #[must_use]
     pub fn nar_nan(&self) -> u64 {
-        self.nar_nan
+        self.0.nar_nan
     }
 
     /// Operations that rounded.
     #[must_use]
     pub fn inexact(&self) -> u64 {
-        self.inexact
+        self.0.inexact
     }
 
     /// Operations that overflowed to infinity.
     #[must_use]
     pub fn overflow(&self) -> u64 {
-        self.overflow
+        self.0.overflow
     }
 
     /// Operations that underflowed.
     #[must_use]
     pub fn underflow(&self) -> u64 {
-        self.underflow
+        self.0.underflow
     }
 
     /// Operations that divided by zero.
     #[must_use]
     pub fn div_by_zero(&self) -> u64 {
-        self.div_by_zero
+        self.0.div_by_zero
     }
 
     /// Operations that saturated at a format rail.
     #[must_use]
     pub fn saturated(&self) -> u64 {
-        self.saturated
+        self.0.saturated
     }
 
     /// Operations that wrapped.
     #[must_use]
     pub fn wrapped(&self) -> u64 {
-        self.wrapped
+        self.0.wrapped
     }
 }
 
@@ -364,7 +346,7 @@ mod tests {
     }
 
     /// Per-bit reference for one op: what `record` did before the tally.
-    fn record_per_bit(c: &mut StatusCounters, ev: Event8) {
+    fn record_per_bit(StatusCounters(c): &mut StatusCounters, ev: Event8) {
         c.ops += 1;
         let fields = [
             (Event8::NAR_NAN, &mut c.nar_nan),

@@ -22,23 +22,11 @@ use crate::parallel::{bands_for, for_each_band, run_bands};
 use crate::status::{StatusCounters, TALLY_CAPACITY};
 use crate::table::{LutOp, StatusOp};
 
-/// Records one matmul's worth of arithmetic against the current obs
-/// span: `m·k·n` MACs (one mul + one add each), `luts_per_mac` table
-/// loads per MAC and, for a status sweep, its per-event totals. Counts
-/// are shape-derived, so the record costs one registry update per
-/// kernel call, not per element.
-fn obs_macs(m: usize, k: usize, n: usize, luts_per_mac: u64, status: Option<&StatusCounters>) {
-    let macs = (m as u64)
-        .saturating_mul(k as u64)
-        .saturating_mul(n as u64);
-    nga_obs::record(|c| {
-        c.muls = c.muls.saturating_add(macs);
-        c.adds = c.adds.saturating_add(macs);
-        c.lut_hits = c.lut_hits.saturating_add(macs.saturating_mul(luts_per_mac));
-        if let Some(s) = status {
-            s.fold_into_obs(c);
-        }
-    });
+/// The MACs of an `m×k · k×n` product, `m·k·n` (saturating). Kernels
+/// record them from the shape, so a call costs one registry update, not
+/// one per element.
+fn macs(m: usize, k: usize, n: usize) -> u64 {
+    (m as u64).saturating_mul(k as u64).saturating_mul(n as u64)
 }
 
 // ---------------------------------------------------------------------
@@ -182,7 +170,7 @@ fn tile<const R: usize>(
 pub fn matmul_f32(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     check_matmul_shapes(a, b, out, m, k, n);
     let _span = nga_obs::span("matmul_f32:serial");
-    obs_macs(m, k, n, 0, None);
+    nga_obs::record(|c| c.add_macs(macs(m, k, n), 0));
     gemm_f32_rows(a, b, out, 0..m, k, n, None);
 }
 
@@ -191,7 +179,7 @@ pub fn matmul_f32(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: 
 pub fn matmul_f32_parallel(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     check_matmul_shapes(a, b, out, m, k, n);
     let _span = nga_obs::span("matmul_f32:parallel");
-    obs_macs(m, k, n, 0, None);
+    nga_obs::record(|c| c.add_macs(macs(m, k, n), 0));
     for_each_band(out, m, n, |rows, oband| {
         gemm_f32_rows(a, b, oband, rows, k, n, None);
     });
@@ -474,7 +462,7 @@ pub fn conv2d_f32(
     let _span = nga_obs::span("conv2d_f32");
     let shape = ConvShape::new(ch, (h, w), (kh, kw), stride, pad);
     let npix = shape.npix();
-    obs_macs(oc, kdim, npix, 0, None);
+    nga_obs::record(|c| c.add_macs(macs(oc, kdim, npix), 0));
     out.clear();
     out.resize(oc * npix, 0.0);
     // Each band's slice of every output channel's row.
@@ -627,7 +615,12 @@ fn run<M: Mac8>(
     } else {
         worker(0..m, out)
     };
-    obs_macs(m, k, n, luts_per_mac, status.then_some(&counters));
+    let macs = macs(m, k, n);
+    nga_obs::record(|c| {
+        c.add_macs(macs, macs.saturating_mul(luts_per_mac));
+        // Empty without `status`, so this adds nothing then.
+        counters.fold_into_obs(c);
+    });
     counters
 }
 

@@ -1,4 +1,4 @@
-//! The table tier's correctness contract: for every 8-bit format, the
+//! The kernel tiers' correctness contract: for every 8-bit format, the
 //! fused lookup tables agree with the bit-exact scalar ops on **all**
 //! 65 536 input pairs (including NaR, NaN, infinities and both zeros),
 //! and every kernel tier agrees bit-for-bit with a naive reference on

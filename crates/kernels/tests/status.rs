@@ -12,8 +12,8 @@ use nga_kernels::{
 
 /// Exhaustive 8-bit sweep: the code and event bytes of the cached fused
 /// tables must agree with the scalar event ops on every one of the
-/// 65 536 input pairs, for both ops and all four formats (the table tier
-/// inherits its codes and status from these tables, so this pins tier
+/// 65 536 input pairs, for both ops and all four formats (the parallel
+/// tier inherits its codes and status from these tables, so this pins tier
 /// agreement at the op level).
 #[test]
 fn event_tables_match_scalar_exhaustively() {

@@ -2,10 +2,17 @@
 //! ReLU, pooling, flatten and residual blocks — everything the paper's
 //! three models (ResNet20, KWS-CNN1, KWS-CNN2) are made of.
 //!
-//! Forward/backward are straightforward nested loops: this substrate
-//! favours being *obviously correct* (so the arithmetic experiments above
-//! it are trustworthy) over speed; the experiment binaries run in release
-//! mode where this is fast enough for the paper's scaled workloads.
+//! Forward passes run on `nga-kernels`: convolutions on its
+//! implicit-GEMM `conv2d_f32`, depthwise convolutions and dense layers in
+//! scoped-thread bands of output channels. Backward passes are plain
+//! nested loops that favour being *obviously correct* over speed; only
+//! retraining runs them.
+//!
+//! Each pass records its nominal MACs in the current trace scope
+//! (`nga_obs::OpCounts::add_macs`), derived from the shape with padded
+//! taps included, matching [`Layer::macs`] (`conv2d_f32` records a conv
+//! forward's). A backward pass counts twice its forward MACs: the
+//! weight-gradient and the input-gradient products.
 
 use std::fmt;
 
@@ -146,7 +153,7 @@ impl Conv2d {
         };
         let (h, w) = (x.shape()[1], x.shape()[2]);
         let (oh, ow) = (grad_y.shape()[1], grad_y.shape()[2]);
-        record_macs(2 * (out_ch * in_ch * k * k * oh * ow) as u64);
+        nga_obs::record(|c| c.add_macs(2 * (out_ch * in_ch * k * k * oh * ow) as u64, 0));
         let mut grad_x = Tensor::zeros(x.shape());
         for oc in 0..out_ch {
             for oy in 0..oh {
@@ -243,7 +250,7 @@ impl DwConv2d {
         let wdata = self.weights.data();
         let bias = self.bias.data();
         let npix = oh * ow;
-        record_macs((ch * npix * k * k) as u64);
+        nga_obs::record(|c| c.add_macs((ch * npix * k * k) as u64, 0));
         let mut y = vec![0.0f32; ch * npix];
         // Channels are independent: one scoped thread band per group of
         // channels. Per pixel, the valid kernel-tap window is clipped
@@ -297,7 +304,7 @@ impl DwConv2d {
         };
         let (h, w) = (x.shape()[1], x.shape()[2]);
         let (oh, ow) = (grad_y.shape()[1], grad_y.shape()[2]);
-        record_macs(2 * (ch * k * k * oh * ow) as u64);
+        nga_obs::record(|c| c.add_macs(2 * (ch * k * k * oh * ow) as u64, 0));
         let mut grad_x = Tensor::zeros(x.shape());
         for c in 0..ch {
             for oy in 0..oh {
@@ -369,7 +376,7 @@ impl Dense {
         let wdata = self.weights.data();
         let bias = self.bias.data();
         let xdata = x.data();
-        record_macs((out * input) as u64);
+        nga_obs::record(|c| c.add_macs((out * input) as u64, 0));
         let mut y = vec![0.0f32; out];
         if xdata.iter().any(|v| v.is_nan()) {
             // Poisoned input (e.g. after a fault injection): skip NaN
@@ -407,7 +414,7 @@ impl Dense {
             unreachable!()
         };
         assert_eq!(grad_y.len(), out, "dense output gradient size");
-        record_macs(2 * (out * input) as u64);
+        nga_obs::record(|c| c.add_macs(2 * (out * input) as u64, 0));
         let gw = state(&mut self.grad_w, &self.weights).data_mut();
         let gb = state(&mut self.grad_b, &self.bias).data_mut();
         let mut grad_x = Tensor::zeros(&[input]);
@@ -838,18 +845,6 @@ impl Network {
         }
         macs
     }
-}
-
-/// Records `macs` multiply-accumulates (one mul and one add each) in the
-/// current trace scope. Callers pass nominal, shape-derived counts with
-/// padded taps included, matching [`Layer::macs`]; a backward pass counts
-/// twice its forward MACs, the weight-gradient and the input-gradient
-/// products.
-fn record_macs(macs: u64) {
-    nga_obs::record(|c| {
-        c.muls = c.muls.saturating_add(macs);
-        c.adds = c.adds.saturating_add(macs);
-    });
 }
 
 fn sgd(w: &mut Tensor, g: &mut Tensor, v: &mut Tensor, lr: f32, momentum: f32) {

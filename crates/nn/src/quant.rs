@@ -254,18 +254,6 @@ fn quantize_weights(w: &[f32]) -> (Vec<i8>, f32) {
     (codes, scale)
 }
 
-/// Records the nominal MAC count of a quantized kernel (padding taps
-/// included, matching `Layer::macs`): one [`nga_kernels::MacTable`]
-/// lookup plus one exact i32 add per MAC. Called once per kernel, outside
-/// the parallel band region, so worker threads never touch the registry.
-fn record_qmacs(macs: u64) {
-    nga_obs::record(|c| {
-        c.muls = c.muls.saturating_add(macs);
-        c.adds = c.adds.saturating_add(macs);
-        c.lut_hits = c.lut_hits.saturating_add(macs);
-    });
-}
-
 /// One signed approximate MAC: `sign(w) * M(|w|, a)` — the scalar
 /// reference the [`nga_kernels::mac_table`] lookup is proven against.
 #[cfg(test)]
@@ -507,7 +495,12 @@ fn conv_forward(c: &QConv, x: &Tensor, m: ApproxMultiplier) -> Tensor {
         .collect();
     let xq = c.quantize(x);
     let mac = nga_kernels::mac_table(m);
-    record_qmacs((c.out_ch * c.in_ch * k * k * npix) as u64);
+    // Nominal MACs (padded taps included, matching `Layer::macs`), each
+    // one `MacTable` lookup and one exact i32 add, recorded once per
+    // kernel outside the bands, so worker threads never touch the
+    // registry.
+    let macs = (c.out_ch * c.in_ch * k * k * npix) as u64;
+    nga_obs::record(|counts| counts.add_macs(macs, macs));
     let mut y = vec![0.0f32; c.out_ch * npix];
     nga_kernels::for_each_band(&mut y, c.out_ch, npix, |ocs, band| {
         // Up to four output channels share each activation load; a
@@ -585,7 +578,8 @@ fn dense_forward(d: &QConv, x: &Tensor, m: ApproxMultiplier) -> Tensor {
     assert_eq!(x.len(), d.in_ch, "dense input size");
     let xq = d.quantize(x);
     let mac = nga_kernels::mac_table(m);
-    record_qmacs((d.out_ch * d.in_ch) as u64);
+    let macs = (d.out_ch * d.in_ch) as u64;
+    nga_obs::record(|counts| counts.add_macs(macs, macs));
     let mut y = vec![0.0f32; d.out_ch];
     nga_kernels::for_each_band(&mut y, d.out_ch, 1, |rows, band| {
         for (y, o) in band.iter_mut().zip(rows) {

@@ -3,7 +3,7 @@
 //! poisoning metric the fault-injection harness (`tools/nga-faults`)
 //! reports.
 //!
-//! The table tier of `nga-kernels` trades one 128 KiB fused value+event
+//! The parallel tier of `nga-kernels` trades one 128 KiB fused value+event
 //! LUT per operator for speed; a bit upset in that table silently
 //! corrupts *every* MAC that hits the flipped entry. [`matmul8_verified`]
 //! closes that hole: each call recomputes the FNV-1a checksum of the

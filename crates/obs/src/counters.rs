@@ -64,6 +64,15 @@ impl OpCounts {
         self.wrapped = self.wrapped.saturating_add(other.wrapped);
     }
 
+    /// Counts `macs` multiply-accumulates (one mul and one add each) and
+    /// `lut_hits` table loads.
+    #[inline]
+    pub fn add_macs(&mut self, macs: u64, lut_hits: u64) {
+        self.muls = self.muls.saturating_add(macs);
+        self.adds = self.adds.saturating_add(macs);
+        self.lut_hits = self.lut_hits.saturating_add(lut_hits);
+    }
+
     /// Fold one raw event byte (the `Event8` bit layout) into the event
     /// counters: each set bit increments its counter by one. Branch-free,
     /// since event bits are data-dependent and mispredict.
@@ -121,6 +130,15 @@ mod tests {
         assert_eq!(ab.muls, u64::MAX);
         a.merge(&OpCounts::default());
         assert_eq!(a.muls, u64::MAX - 1);
+    }
+
+    #[test]
+    fn add_macs_counts_a_mul_and_an_add_per_mac() {
+        let mut c = OpCounts::default();
+        c.add_macs(6, 12);
+        c.add_macs(u64::MAX, 0);
+        assert_eq!((c.muls, c.adds, c.lut_hits), (u64::MAX, u64::MAX, 12));
+        assert_eq!((c.ops, c.calls), (0, 0));
     }
 
     #[test]

@@ -1,11 +1,5 @@
 //! The live implementation: a thread-local span stack over one global
 //! path-keyed registry (compiled unless the `obs-off` feature is set).
-//!
-//! [`record_at`] does not touch the registry. It adds into a thread-local
-//! write-combining buffer holding one path's pending counts, so a run of
-//! records to one path takes no lock and no allocation. The buffer is
-//! merged into the registry when the thread records to another path,
-//! opens or closes a span, calls [`record`] or [`snapshot`], or exits.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -19,53 +13,9 @@ struct Frame {
     path: String,
 }
 
-/// Counts [`record_at`] has buffered on this thread for `path` and not yet
-/// merged into the registry.
-#[derive(Default)]
-struct Pending {
-    path: String,
-    counts: OpCounts,
-    /// Whether any record is buffered. Tracked apart from the counts so a
-    /// record that adds nothing still creates its scope, as an unbuffered
-    /// record would.
-    dirty: bool,
-}
-
-impl Pending {
-    /// Merges the buffered counts into `reg` and empties the buffer (the
-    /// path's allocation is kept for reuse).
-    fn flush_into(&mut self, reg: &mut BTreeMap<String, OpCounts>) {
-        if !self.dirty {
-            return;
-        }
-        match reg.get_mut(self.path.as_str()) {
-            Some(c) => c.merge(&self.counts),
-            None => {
-                reg.insert(self.path.clone(), self.counts);
-            }
-        }
-        self.discard();
-    }
-
-    fn discard(&mut self) {
-        self.counts = OpCounts::default();
-        self.dirty = false;
-    }
-}
-
-impl Drop for Pending {
-    /// Thread exit: nothing buffered is lost.
-    fn drop(&mut self) {
-        if self.dirty {
-            with_registry(|reg| self.flush_into(reg));
-        }
-    }
-}
-
 thread_local! {
     static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
     static NEXT_ID: Cell<u64> = const { Cell::new(0) };
-    static PENDING: RefCell<Pending> = RefCell::new(Pending::default());
 }
 
 static REGISTRY: OnceLock<Mutex<BTreeMap<String, OpCounts>>> = OnceLock::new();
@@ -79,17 +29,6 @@ fn with_registry<R>(f: impl FnOnce(&mut BTreeMap<String, OpCounts>) -> R) -> R {
         Err(poisoned) => poisoned.into_inner(),
     };
     f(&mut guard)
-}
-
-/// Like [`with_registry`], first merging this thread's buffered
-/// [`record_at`] counts under the same lock.
-fn with_flushed_registry<R>(f: impl FnOnce(&mut BTreeMap<String, OpCounts>) -> R) -> R {
-    with_registry(|reg| {
-        // During thread teardown the buffer may already be gone; its own
-        // destructor has flushed it then.
-        let _ = PENDING.try_with(|p| p.borrow_mut().flush_into(reg));
-        f(reg)
-    })
 }
 
 /// RAII scope guard: opening nests under the current thread's innermost
@@ -111,15 +50,6 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        // Closing a span publishes this thread's buffered counts, so an
-        // `ArithCtx` dropped on a scoped worker is visible once the scope
-        // ends (scope joins do not wait for thread-local destructors).
-        let _ = PENDING.try_with(|p| {
-            let mut p = p.borrow_mut();
-            if p.dirty {
-                with_registry(|reg| p.flush_into(reg));
-            }
-        });
         STACK.with(|s| {
             let mut s = s.borrow_mut();
             // Remove by identity, not by popping, so out-of-order drops
@@ -151,7 +81,7 @@ pub fn span(name: &str) -> Span {
         });
         full
     });
-    with_flushed_registry(|reg| {
+    with_registry(|reg| {
         let c = reg.entry(path.clone()).or_default();
         c.calls = c.calls.saturating_add(1);
     });
@@ -163,46 +93,20 @@ pub fn span(name: &str) -> Span {
 pub fn record<F: FnOnce(&mut OpCounts)>(f: F) {
     let path = STACK.with(|s| s.borrow().last().map(|fr| fr.path.clone()));
     let path = path.unwrap_or_else(|| String::from("(root)"));
-    with_flushed_registry(|reg| f(reg.entry(path).or_default()));
+    with_registry(|reg| f(reg.entry(path).or_default()));
 }
 
 /// Applies `f` to the counters at the absolute path `path`, ignoring the
 /// span stack. Long-lived owners (`ArithCtx`) use this so their ops
 /// attribute to the owner's scope even when called under other spans.
-///
-/// `f` adds into this thread's pending counts for `path`, not into the
-/// registry, so it must only add (as every `saturating_add` update
-/// does). The counts become visible to [`snapshot`] when this thread
-/// next records to another path, opens or closes a span, calls
-/// [`record`] or [`snapshot`], or exits.
 pub fn record_at<F: FnOnce(&mut OpCounts)>(path: &str, f: F) {
-    let mut f = Some(f);
-    let _ = PENDING.try_with(|p| {
-        let mut p = p.borrow_mut();
-        if p.path != path {
-            if p.dirty {
-                with_registry(|reg| p.flush_into(reg));
-            }
-            p.path.clear();
-            p.path.push_str(path);
-        }
-        if let Some(f) = f.take() {
-            f(&mut p.counts);
-        }
-        p.dirty = true;
-    });
-    // Still here when called from another thread-local destructor after
-    // the buffer is gone: write through.
-    if let Some(f) = f {
-        with_registry(|reg| f(reg.entry(path.to_string()).or_default()));
-    }
+    with_registry(|reg| f(reg.entry(path.to_string()).or_default()));
 }
 
-/// Freezes the global registry into a sorted, deterministic report,
-/// after merging the calling thread's buffered [`record_at`] counts.
+/// Freezes the global registry into a sorted, deterministic report.
 #[must_use]
 pub fn snapshot() -> TraceReport {
-    with_flushed_registry(|reg| TraceReport {
+    with_registry(|reg| TraceReport {
         scopes: reg
             .iter()
             .map(|(p, c)| ScopeRow {
@@ -213,10 +117,8 @@ pub fn snapshot() -> TraceReport {
     })
 }
 
-/// Clears every counter (report emitters use this between workloads),
-/// discarding the calling thread's buffered [`record_at`] counts too.
+/// Clears every counter (report emitters use this between workloads).
 pub fn reset() {
-    let _ = PENDING.try_with(|p| p.borrow_mut().discard());
     with_registry(|reg| reg.clear());
 }
 
@@ -311,84 +213,56 @@ mod tests {
     }
 
     #[test]
-    fn buffered_record_at_is_visible_to_snapshot_on_its_thread() {
-        let _guard = exact_counts();
-        for _ in 0..1000 {
-            record_at("buf-same-thread", |c| c.muls = c.muls.saturating_add(1));
-        }
-        // No span, record or path change since: only snapshot flushes.
-        assert_eq!(counts_at("buf-same-thread").muls, 1000);
-        record_at("buf-same-thread", |c| c.muls = c.muls.saturating_add(1));
-        assert_eq!(counts_at("buf-same-thread").muls, 1001);
-    }
-
-    #[test]
-    fn buffered_record_at_sums_alternating_paths() {
+    fn record_at_sums_alternating_paths() {
         let _guard = exact_counts();
         for path in [
-            "buf-alt-a",
-            "buf-alt-b",
-            "buf-alt-a",
-            "buf-alt-a",
-            "buf-alt-b",
+            "rec-alt-a",
+            "rec-alt-b",
+            "rec-alt-a",
+            "rec-alt-a",
+            "rec-alt-b",
         ] {
             record_at(path, |c| c.adds = c.adds.saturating_add(2));
         }
-        assert_eq!(counts_at("buf-alt-a").adds, 6);
-        assert_eq!(counts_at("buf-alt-b").adds, 4);
+        assert_eq!(counts_at("rec-alt-a").adds, 6);
+        assert_eq!(counts_at("rec-alt-b").adds, 4);
     }
 
     #[test]
-    fn buffered_record_at_with_no_delta_still_creates_its_scope() {
+    fn record_at_with_no_delta_still_creates_its_scope() {
         let _guard = exact_counts();
-        record_at("buf-empty", |_| {});
-        assert_eq!(snapshot().get("buf-empty"), Some(&OpCounts::default()));
+        record_at("rec-empty", |_| {});
+        assert_eq!(snapshot().get("rec-empty"), Some(&OpCounts::default()));
     }
 
     #[test]
-    fn reset_discards_pending_counts() {
-        let _guard = clears_registry();
-        record_at("buf-reset", |c| c.ops = c.ops.saturating_add(5));
-        reset();
-        assert!(
-            snapshot().get("buf-reset").is_none(),
-            "pending counts discarded"
-        );
-        record_at("buf-reset", |c| c.ops = c.ops.saturating_add(1));
-        assert_eq!(counts_at("buf-reset").ops, 1);
-    }
-
-    #[test]
-    fn span_close_on_a_scoped_worker_publishes_its_counts() {
+    fn record_at_on_a_scoped_worker_is_visible_after_the_scope() {
         let _guard = exact_counts();
         std::thread::scope(|s| {
             for _ in 0..3 {
                 s.spawn(|| {
                     // An owner span like an ArithCtx's: records target its
                     // path, and dropping it is the worker's last act.
-                    let owner = span("buf-worker");
+                    let owner = span("rec-worker");
                     for _ in 0..100 {
                         record_at(owner.path(), |c| c.ops = c.ops.saturating_add(1));
                     }
                 });
             }
         });
-        // Scope joins do not wait for thread-local destructors, so only
-        // the span-close flush makes this exact.
-        let c = counts_at("buf-worker");
+        let c = counts_at("rec-worker");
         assert_eq!(c.calls, 3);
         assert_eq!(c.ops, 300);
     }
 
     #[test]
-    fn thread_exit_publishes_counts_recorded_without_a_span() {
+    fn record_at_on_a_joined_thread_without_a_span_is_visible() {
         let _guard = exact_counts();
-        // `join` waits for the thread's destructors, including the buffer's.
         std::thread::spawn(|| {
-            record_at("buf-exit", |c| c.divs = c.divs.saturating_add(9));
+            record_at("rec-exit", |c| c.divs = c.divs.saturating_add(9));
         })
         .join()
         .unwrap_or_else(|p| std::panic::resume_unwind(p));
-        assert_eq!(counts_at("buf-exit").divs, 9);
+        assert_eq!(counts_at("rec-exit").divs, 9);
     }
 }

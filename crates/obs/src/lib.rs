@@ -29,37 +29,15 @@
 //! spans). [`snapshot`] freezes the global registry into a sorted
 //! [`TraceReport`].
 //!
-//! # Cost and visibility of `record_at`
-//!
-//! `ArithCtx` calls [`record_at`] once per scalar op, so it must not take
-//! a lock or allocate. It adds into a thread-local buffer that holds one
-//! path's pending counts; a run of records to the same path touches only
-//! that buffer. The closure therefore sees a pending delta, not the
-//! registry total, and must only add to the counters.
-//!
-//! Buffered counts reach the registry when their thread
-//!
-//! * records to a different path with [`record_at`],
-//! * opens or closes any [`Span`] (an `ArithCtx` closes its span when it
-//!   is dropped),
-//! * calls [`record`] or [`snapshot`], or
-//! * exits.
-//!
-//! So a [`snapshot`] always sees the calling thread's own counts. Counts
-//! another thread buffered are visible once that thread has closed a span
-//! or exited; a context used and dropped on a `std::thread::scope` worker
-//! is visible when the scope returns (scope joins do not wait for
-//! thread-local destructors, so the span close is what publishes them).
-//! [`reset`] discards the calling thread's buffer along with the registry.
+//! An `ArithCtx` adds its scalar ops to counts it owns, so they cost no
+//! lock and no allocation, and records them at its label once, when it
+//! is dropped.
 //!
 //! ```
 //! let root = nga_obs::span("demo");
 //! {
 //!     let _child = nga_obs::span("matmul");
-//!     nga_obs::record(|c| {
-//!         c.muls = c.muls.saturating_add(8);
-//!         c.adds = c.adds.saturating_add(8);
-//!     });
+//!     nga_obs::record(|c| c.add_macs(8, 0));
 //! }
 //! nga_obs::record_at(root.path(), |c| c.ops = c.ops.saturating_add(1));
 //! let report = nga_obs::snapshot();

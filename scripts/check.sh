@@ -70,6 +70,15 @@ cmp TRACE_REPORT.quick.json TRACE_REPORT.quick.json.rerun || {
     exit 1
 }
 rm -f TRACE_REPORT.quick.json.rerun
+# The committed reports must match the code. The steps above regenerated
+# them in place; a change that alters a report without committing the new
+# one fails here instead of leaving a stale report behind.
+git diff --exit-code -- LINT_REPORT.json ORACLE_REPORT.quick.json \
+    FAULTS_REPORT.quick.json TRACE_REPORT.quick.json || {
+    echo "check.sh: a report differs from its committed copy;" \
+        "regenerate it, review the diff and stage it" >&2
+    exit 1
+}
 # Clippy over every target (tests, benches and examples too), warnings
 # as errors. It also enforces the invariants handed to the compiler: no
 # unsafe ([workspace.lints.rust] in Cargo.toml), a reason on every

@@ -84,7 +84,9 @@ pub use nga_softfloat as softfloat;
 /// assert_eq!(q.to_f64(), 1.5);
 ///
 /// // The trace registry saw the context's work: the scalar op in its
-/// // scope, the matmul in the tier's kernel scope under it.
+/// // scope (recorded when the context is dropped), the matmul in the
+/// // tier's kernel scope under it.
+/// drop(ctx);
 /// let report = obs::snapshot();
 /// let subtree = report.scopes.iter().filter(|r| {
 ///     r.path == "example" || r.path.starts_with("example/")

@@ -113,7 +113,9 @@ fn prelude_walks() {
     let q = Fixed::from_f64(2.0, FixedFormat::Q4_4, RoundingMode::NearestEven).unwrap();
     assert_eq!(q.to_f64(), 2.0);
 
-    // Observability: the context's scope is visible in a snapshot.
+    // Observability: the context's scope is visible in a snapshot once
+    // the context is dropped.
+    drop(ctx);
     let report = obs::snapshot();
     assert!(
         report.get("ctx").is_some_and(|c| c.muls >= 1),
