@@ -87,7 +87,7 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     banner("Fig. 5 — accuracy with 10 approximate multipliers on 3 DNNs");
     println!(
-        "kernels: im2col + MAC-LUT tensor layer, {} worker thread(s)\n",
+        "kernels: implicit-GEMM conv + MAC-LUT tensor layer, {} worker thread(s)\n",
         nga_kernels::num_threads()
     );
 

@@ -16,7 +16,7 @@ use nga_nn::train::{accuracy, accuracy_approx, train_float, TrainConfig};
 fn main() {
     banner("Table I — DNN characteristics");
     println!(
-        "kernels: im2col + MAC-LUT tensor layer, {} worker thread(s)\n",
+        "kernels: implicit-GEMM conv + MAC-LUT tensor layer, {} worker thread(s)\n",
         nga_kernels::num_threads()
     );
 

@@ -172,9 +172,13 @@ impl ArithCtx {
         s
     }
 
-    /// `out = a · b` over f32 through the selected tier.
+    /// `out = a · b` over f32 through the selected tier: serial on
+    /// `Scalar`, row-banded on `Parallel`, with bit-identical results.
     pub fn matmul_f32(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        self.tier.matmul_f32(a, b, out, m, k, n);
+        match self.tier {
+            KernelTier::Scalar => crate::tensor::matmul_f32(a, b, out, m, k, n),
+            KernelTier::Parallel => crate::tensor::matmul_f32_parallel(a, b, out, m, k, n),
+        }
     }
 }
 

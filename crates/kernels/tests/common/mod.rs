@@ -3,7 +3,7 @@
 
 #![allow(dead_code, reason = "each test binary uses only some of the helpers")]
 
-use nga_kernels::{Format8, StatusCounters};
+use nga_kernels::{matmul8_parallel, matmul8_scalar, Format8, KernelTier, LutOp, StatusCounters};
 
 /// Naive reference for every 8-bit matmul: per output element, in
 /// ascending `k`, through the scalar event ops, recording every op. It
@@ -30,6 +30,26 @@ pub fn naive_matmul8(
         }
     }
     (out, counters)
+}
+
+/// `out = a · b` through the status-free 8-bit kernel that `tier` runs:
+/// [`matmul8_scalar`] on `Scalar`, [`matmul8_parallel`] over the fused
+/// tables on `Parallel`.
+#[expect(clippy::too_many_arguments, reason = "BLAS-style flat slices and dims")]
+pub fn tier_matmul8(
+    tier: KernelTier,
+    fmt: Format8,
+    a: &[u8],
+    b: &[u8],
+    out: &mut [u8],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    match tier {
+        KernelTier::Scalar => matmul8_scalar(fmt, a, b, out, m, k, n),
+        KernelTier::Parallel => matmul8_parallel(&LutOp::new(fmt), a, b, out, m, k, n),
+    }
 }
 
 /// Naive reference for every f32 matmul and for the GEMM inside

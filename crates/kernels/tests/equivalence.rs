@@ -10,7 +10,9 @@
 
 mod common;
 
-use common::{f32_bits, f32_values, naive_conv2d_f32, naive_matmul8, naive_matmul_f32};
+use common::{
+    f32_bits, f32_values, naive_conv2d_f32, naive_matmul8, naive_matmul_f32, tier_matmul8,
+};
 use nga_kernels::{
     add_table, conv2d_f32, im2col, matmul_f32, matmul_f32_parallel, mul_table, ArithCtx, Format8,
     KernelTier, LutOp,
@@ -104,8 +106,10 @@ fn kernel_tiers_match_scalar_reference_on_every_format() {
         for tier in KernelTier::ALL {
             let mut f = vec![0.0f32; m * n];
             let mut u = vec![0u8; m * n];
-            tier.matmul_f32(&af, &bf, &mut f, m, k, n);
-            tier.matmul8(fmt, &a8, &b8, &mut u, m, k, n);
+            ArithCtx::labeled("equivalence")
+                .with_tier(tier)
+                .matmul_f32(&af, &bf, &mut f, m, k, n);
+            tier_matmul8(tier, fmt, &a8, &b8, &mut u, m, k, n);
             assert_eq!(f32_bits(&f), refb, "{tier} f32 ≡ naive");
             assert_eq!(u, u8_ref, "{tier} {} ≡ naive", fmt.id());
         }
@@ -131,10 +135,6 @@ fn f32_matmuls(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<(Strin
         ),
     ];
     for tier in KernelTier::ALL {
-        all.push((
-            format!("{tier}"),
-            run(&|o| tier.matmul_f32(a, b, o, m, k, n)),
-        ));
         let ctx = ArithCtx::labeled("equivalence").with_tier(tier);
         all.push((
             format!("ctx {tier}"),
@@ -353,7 +353,7 @@ proptest! {
             let (want, want_s) = naive_matmul8(fmt, &a, &b, m, k, n);
             for tier in KernelTier::ALL {
                 let mut out = vec![0u8; m * n];
-                tier.matmul8(fmt, &a, &b, &mut out, m, k, n);
+                tier_matmul8(tier, fmt, &a, &b, &mut out, m, k, n);
                 prop_assert_eq!(&out, &want, "{} {} codes", fmt.id(), tier);
                 let mut ctx = ArithCtx::labeled("equivalence").with_tier(tier);
                 let s = ctx.matmul8(fmt, &a, &b, &mut out, m, k, n);

@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::naive_matmul8;
+use common::{naive_matmul8, tier_matmul8};
 use nga_kernels::{
     add_table, matmul8_parallel, matmul8_scalar, mul_table, ArithCtx, BinaryTable, Event8, Format8,
     KernelTier, LutOp, StatusCounters,
@@ -59,7 +59,7 @@ fn status_counters_agree_across_tiers() {
             assert_eq!(s, want_s, "{} {tier}: counters ≡ naive", fmt.id());
             // The status path must not perturb the value path.
             let mut plain = vec![0u8; m * n];
-            tier.matmul8(fmt, &a, &b, &mut plain, m, k, n);
+            tier_matmul8(tier, fmt, &a, &b, &mut plain, m, k, n);
             assert_eq!(plain, out, "{} {tier}: status output ≡ plain output", fmt.id());
         }
     }

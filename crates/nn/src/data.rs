@@ -144,6 +144,14 @@ impl Dataset {
         }
     }
 
+    /// The activation-range calibration set for quantizing a network
+    /// trained on this data: its first 16 samples (all of them if fewer),
+    /// drawn through [`Self::sample`], so an augmented set advances its
+    /// draw counter.
+    pub(crate) fn calibration_set(&self) -> Vec<Tensor> {
+        (0..self.len().min(16)).map(|i| self.sample(i).0).collect()
+    }
+
     /// Splits into `(train, test)` by alternating samples (stratified,
     /// since samples are laid out class-block by class-block).
     #[must_use]

@@ -6,7 +6,15 @@
 //! implicit-GEMM `conv2d_f32`, depthwise convolutions and dense layers in
 //! scoped-thread bands of output channels. Backward passes are plain
 //! nested loops that favour being *obviously correct* over speed; only
-//! retraining runs them.
+//! retraining runs them. One loop serves both convolutions: a depthwise
+//! output channel reads its own input plane, a full one reads every plane.
+//!
+//! The three weight layers share one private training state (gradient and
+//! momentum buffers, allocated on first use, and the input cached by
+//! [`Layer::forward_train`]), so [`Layer::step`] has one update for all of
+//! them. A training forward pass fills that cache, or a parameter-free
+//! layer's own, and then runs [`Layer::forward`]; only max pooling (its
+//! argmax) and residual blocks (their inner layers) compute their own.
 //!
 //! Each pass records its nominal MACs in the current trace scope
 //! (`nga_obs::OpCounts::add_macs`), derived from the shape with padded
@@ -55,6 +63,32 @@ impl fmt::Display for BackwardError {
 
 impl std::error::Error for BackwardError {}
 
+/// A weight layer's training state: the gradient and momentum buffers of
+/// its weights and bias, and the input cached by the last training
+/// forward pass.
+#[derive(Debug, Clone)]
+struct Train {
+    grad_w: Tensor,
+    grad_b: Tensor,
+    vel_w: Tensor,
+    vel_b: Tensor,
+    cache_in: Option<Tensor>,
+}
+
+impl Default for Train {
+    /// No buffers and no cache: an inference-only network carries no
+    /// training state.
+    fn default() -> Self {
+        Self {
+            grad_w: Tensor::zeros(&[0]),
+            grad_b: Tensor::zeros(&[0]),
+            vel_w: Tensor::zeros(&[0]),
+            vel_b: Tensor::zeros(&[0]),
+            cache_in: None,
+        }
+    }
+}
+
 /// A 2-D convolution with square kernels, stride and zero padding.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
@@ -66,11 +100,7 @@ pub struct Conv2d {
     pub stride: usize,
     /// Zero padding on every edge.
     pub pad: usize,
-    grad_w: Tensor,
-    grad_b: Tensor,
-    vel_w: Tensor,
-    vel_b: Tensor,
-    cache_in: Option<Tensor>,
+    train: Train,
 }
 
 impl Conv2d {
@@ -93,11 +123,7 @@ impl Conv2d {
             bias: Tensor::zeros(&[out_ch]),
             stride,
             pad,
-            grad_w: Tensor::zeros(&[0]),
-            grad_b: Tensor::zeros(&[0]),
-            vel_w: Tensor::zeros(&[0]),
-            vel_b: Tensor::zeros(&[0]),
-            cache_in: None,
+            train: Train::default(),
         }
     }
 
@@ -141,51 +167,73 @@ impl Conv2d {
         );
         Tensor::from_vec(&os, out)
     }
+}
 
-    fn backward_impl(&mut self, grad_y: &Tensor) -> Result<Tensor, BackwardError> {
-        let Some(x) = self.cache_in.as_ref().cloned() else {
-            return Err(BackwardError::missing("Conv2d"));
-        };
-        let gw = state(&mut self.grad_w, &self.weights).data_mut();
-        state(&mut self.grad_b, &self.bias);
-        let [out_ch, in_ch, k, _] = *self.weights.shape() else {
-            unreachable!()
-        };
-        let (h, w) = (x.shape()[1], x.shape()[2]);
-        let (oh, ow) = (grad_y.shape()[1], grad_y.shape()[2]);
-        nga_obs::record(|c| c.add_macs(2 * (out_ch * in_ch * k * k * oh * ow) as u64, 0));
-        let mut grad_x = Tensor::zeros(x.shape());
-        for oc in 0..out_ch {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let g = grad_y.at3(oc, oy, ox);
-                    if g == 0.0 {
-                        continue;
-                    }
-                    self.grad_b.data_mut()[oc] += g;
-                    for ic in 0..in_ch {
-                        for ky in 0..k {
-                            let iy = (oy * self.stride + ky) as isize - self.pad as isize;
-                            if iy < 0 || iy >= h as isize {
+/// Backward pass of a convolution with `[out, in, k, k]` weights, or of a
+/// depthwise one with `[ch, k, k]` weights, whose output channel `oc`
+/// reads input plane `oc` only. Per nonzero output gradient it adds to the
+/// bias gradient, then for each tap (input plane, ky, kx) inside the
+/// padding to the weight gradient and the input gradient.
+fn conv_backward(
+    weights: &Tensor,
+    bias: &Tensor,
+    (stride, pad): (usize, usize),
+    train: &mut Train,
+    grad_y: &Tensor,
+) -> Result<Tensor, BackwardError> {
+    let shape = weights.shape();
+    let depthwise = shape.len() == 3;
+    let Train {
+        grad_w,
+        grad_b,
+        cache_in,
+        ..
+    } = train;
+    let kind = if depthwise { "DwConv2d" } else { "Conv2d" };
+    let Some(x) = cache_in.as_ref() else {
+        return Err(BackwardError::missing(kind));
+    };
+    let gw = state(grad_w, weights).data_mut();
+    let gb = state(grad_b, bias).data_mut();
+    let (out_ch, k) = (gb.len(), shape[shape.len() - 1]);
+    // Output channel `oc` reads `planes` input planes from `first(oc)` on.
+    let planes = if depthwise { 1 } else { shape[1] };
+    let first = |oc: usize| if depthwise { oc } else { 0 };
+    let (h, w) = (x.shape()[1], x.shape()[2]);
+    let (oh, ow) = (grad_y.shape()[1], grad_y.shape()[2]);
+    nga_obs::record(|c| c.add_macs(2 * (out_ch * planes * k * k * oh * ow) as u64, 0));
+    let mut grad_x = Tensor::zeros(x.shape());
+    for (oc, gb) in gb.iter_mut().enumerate() {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let g = grad_y.at3(oc, oy, ox);
+                if g == 0.0 {
+                    continue;
+                }
+                *gb += g;
+                for p in 0..planes {
+                    let ic = first(oc) + p;
+                    for ky in 0..k {
+                        let iy = (oy * stride + ky) as isize - pad as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        for kx in 0..k {
+                            let ix = (ox * stride + kx) as isize - pad as isize;
+                            if ix < 0 || ix >= w as isize {
                                 continue;
                             }
-                            for kx in 0..k {
-                                let ix = (ox * self.stride + kx) as isize - self.pad as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                let widx = ((oc * in_ch + ic) * k + ky) * k + kx;
-                                gw[widx] += g * x.at3(ic, iy as usize, ix as usize);
-                                *grad_x.at3_mut(ic, iy as usize, ix as usize) +=
-                                    g * self.weights.data()[widx];
-                            }
+                            let widx = ((oc * planes + p) * k + ky) * k + kx;
+                            gw[widx] += g * x.at3(ic, iy as usize, ix as usize);
+                            *grad_x.at3_mut(ic, iy as usize, ix as usize) +=
+                                g * weights.data()[widx];
                         }
                     }
                 }
             }
         }
-        Ok(grad_x)
     }
+    Ok(grad_x)
 }
 
 /// A depthwise 2-D convolution: each channel is convolved with its own
@@ -201,11 +249,7 @@ pub struct DwConv2d {
     pub stride: usize,
     /// Zero padding on every edge.
     pub pad: usize,
-    grad_w: Tensor,
-    grad_b: Tensor,
-    vel_w: Tensor,
-    vel_b: Tensor,
-    cache_in: Option<Tensor>,
+    train: Train,
 }
 
 impl DwConv2d {
@@ -219,11 +263,7 @@ impl DwConv2d {
             bias: Tensor::zeros(&[ch]),
             stride,
             pad,
-            grad_w: Tensor::zeros(&[0]),
-            grad_b: Tensor::zeros(&[0]),
-            vel_w: Tensor::zeros(&[0]),
-            vel_b: Tensor::zeros(&[0]),
-            cache_in: None,
+            train: Train::default(),
         }
     }
 
@@ -292,49 +332,6 @@ impl DwConv2d {
         });
         Tensor::from_vec(&os, y)
     }
-
-    fn backward_impl(&mut self, grad_y: &Tensor) -> Result<Tensor, BackwardError> {
-        let Some(x) = self.cache_in.as_ref().cloned() else {
-            return Err(BackwardError::missing("DwConv2d"));
-        };
-        let gw = state(&mut self.grad_w, &self.weights).data_mut();
-        state(&mut self.grad_b, &self.bias);
-        let [ch, k, _] = *self.weights.shape() else {
-            unreachable!()
-        };
-        let (h, w) = (x.shape()[1], x.shape()[2]);
-        let (oh, ow) = (grad_y.shape()[1], grad_y.shape()[2]);
-        nga_obs::record(|c| c.add_macs(2 * (ch * k * k * oh * ow) as u64, 0));
-        let mut grad_x = Tensor::zeros(x.shape());
-        for c in 0..ch {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let g = grad_y.at3(c, oy, ox);
-                    if g == 0.0 {
-                        continue;
-                    }
-                    self.grad_b.data_mut()[c] += g;
-                    for ky in 0..k {
-                        let iy = (oy * self.stride + ky) as isize - self.pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..k {
-                            let ix = (ox * self.stride + kx) as isize - self.pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let widx = (c * k + ky) * k + kx;
-                            gw[widx] += g * x.at3(c, iy as usize, ix as usize);
-                            *grad_x.at3_mut(c, iy as usize, ix as usize) +=
-                                g * self.weights.data()[widx];
-                        }
-                    }
-                }
-            }
-        }
-        Ok(grad_x)
-    }
 }
 
 /// A fully-connected layer.
@@ -344,11 +341,7 @@ pub struct Dense {
     pub weights: Tensor,
     /// Bias `[out]`.
     pub bias: Tensor,
-    grad_w: Tensor,
-    grad_b: Tensor,
-    vel_w: Tensor,
-    vel_b: Tensor,
-    cache_in: Option<Tensor>,
+    train: Train,
 }
 
 impl Dense {
@@ -360,11 +353,7 @@ impl Dense {
         Self {
             weights: Tensor::from_vec(&[out, input], data),
             bias: Tensor::zeros(&[out]),
-            grad_w: Tensor::zeros(&[0]),
-            grad_b: Tensor::zeros(&[0]),
-            vel_w: Tensor::zeros(&[0]),
-            vel_b: Tensor::zeros(&[0]),
-            cache_in: None,
+            train: Train::default(),
         }
     }
 
@@ -407,7 +396,13 @@ impl Dense {
     }
 
     fn backward_impl(&mut self, grad_y: &Tensor) -> Result<Tensor, BackwardError> {
-        let Some(x) = self.cache_in.as_ref().cloned() else {
+        let Train {
+            grad_w,
+            grad_b,
+            cache_in,
+            ..
+        } = &mut self.train;
+        let Some(x) = cache_in.as_ref() else {
             return Err(BackwardError::missing("Dense"));
         };
         let [out, input] = *self.weights.shape() else {
@@ -415,8 +410,8 @@ impl Dense {
         };
         assert_eq!(grad_y.len(), out, "dense output gradient size");
         nga_obs::record(|c| c.add_macs(2 * (out * input) as u64, 0));
-        let gw = state(&mut self.grad_w, &self.weights).data_mut();
-        let gb = state(&mut self.grad_b, &self.bias).data_mut();
+        let gw = state(grad_w, &self.weights).data_mut();
+        let gb = state(grad_b, &self.bias).data_mut();
         let mut grad_x = Tensor::zeros(&[input]);
         let gx = grad_x.data_mut();
         let rows = gw
@@ -552,41 +547,22 @@ impl Layer {
 
     /// Training forward pass (fills caches for [`Self::backward`]).
     pub fn forward_train(&mut self, x: &Tensor) -> Tensor {
-        let _span = nga_obs::span(self.kind());
+        let kind = self.kind();
+        if let Some((_, _, train)) = self.params_mut() {
+            train.cache_in = Some(x.clone());
+        }
         match self {
-            Layer::Conv2d(c) => {
-                c.cache_in = Some(x.clone());
-                c.forward_impl(x)
-            }
-            Layer::DwConv2d(c) => {
-                c.cache_in = Some(x.clone());
-                c.forward_impl(x)
-            }
-            Layer::Dense(d) => {
-                d.cache_in = Some(x.clone());
-                d.forward_impl(x)
-            }
-            Layer::Relu { mask } => {
-                *mask = Some(x.data().iter().map(|&v| v > 0.0).collect());
-                let data = x.data().iter().map(|&v| v.max(0.0)).collect();
-                Tensor::from_vec(x.shape(), data)
-            }
+            Layer::Relu { mask } => *mask = Some(x.data().iter().map(|&v| v > 0.0).collect()),
+            Layer::GlobalAvgPool { cache } => *cache = Some((x.shape()[1], x.shape()[2])),
+            Layer::Flatten { cache } => *cache = Some(x.shape().to_vec()),
             Layer::MaxPool2 { cache } => {
+                let _span = nga_obs::span(kind);
                 let (y, arg, in_shape) = max_pool2_forward(x);
                 *cache = Some((arg, in_shape));
-                y
-            }
-            Layer::GlobalAvgPool { cache } => {
-                *cache = Some((x.shape()[1], x.shape()[2]));
-                global_avg_forward(x)
-            }
-            Layer::Flatten { cache } => {
-                *cache = Some(x.shape().to_vec());
-                let mut y = x.clone();
-                y.reshape(&[x.len()]);
-                y
+                return y;
             }
             Layer::Residual(r) => {
+                let _span = nga_obs::span(kind);
                 let mut main = x.clone();
                 for l in &mut r.main {
                     main = l.forward_train(&main);
@@ -595,9 +571,11 @@ impl Layer {
                 for l in &mut r.shortcut {
                     short = l.forward_train(&short);
                 }
-                main.add(&short)
+                return main.add(&short);
             }
+            Layer::Conv2d(_) | Layer::DwConv2d(_) | Layer::Dense(_) => {}
         }
+        self.forward(x)
     }
 
     /// Backward pass: consumes the gradient w.r.t. the output, returns the
@@ -610,8 +588,20 @@ impl Layer {
     pub fn backward(&mut self, grad: &Tensor) -> Result<Tensor, BackwardError> {
         let _span = nga_obs::span(self.kind());
         match self {
-            Layer::Conv2d(c) => c.backward_impl(grad),
-            Layer::DwConv2d(c) => c.backward_impl(grad),
+            Layer::Conv2d(Conv2d {
+                weights,
+                bias,
+                stride,
+                pad,
+                train,
+            })
+            | Layer::DwConv2d(DwConv2d {
+                weights,
+                bias,
+                stride,
+                pad,
+                train,
+            }) => conv_backward(weights, bias, (*stride, *pad), train, grad),
             Layer::Dense(d) => d.backward_impl(grad),
             Layer::Relu { mask } => {
                 let Some(mask) = mask.as_ref() else {
@@ -676,25 +666,24 @@ impl Layer {
 
     /// SGD-with-momentum update; zeroes accumulated gradients.
     pub fn step(&mut self, lr: f32, momentum: f32) {
+        if let Layer::Residual(r) = self {
+            for l in r.main.iter_mut().chain(r.shortcut.iter_mut()) {
+                l.step(lr, momentum);
+            }
+        } else if let Some((weights, bias, t)) = self.params_mut() {
+            sgd(weights, &mut t.grad_w, &mut t.vel_w, lr, momentum);
+            sgd(bias, &mut t.grad_b, &mut t.vel_b, lr, momentum);
+        }
+    }
+
+    /// The weights, bias and training state of a weight layer; `None` for
+    /// every other kind.
+    fn params_mut(&mut self) -> Option<(&mut Tensor, &mut Tensor, &mut Train)> {
         match self {
-            Layer::Conv2d(c) => {
-                sgd(&mut c.weights, &mut c.grad_w, &mut c.vel_w, lr, momentum);
-                sgd(&mut c.bias, &mut c.grad_b, &mut c.vel_b, lr, momentum);
-            }
-            Layer::DwConv2d(c) => {
-                sgd(&mut c.weights, &mut c.grad_w, &mut c.vel_w, lr, momentum);
-                sgd(&mut c.bias, &mut c.grad_b, &mut c.vel_b, lr, momentum);
-            }
-            Layer::Dense(d) => {
-                sgd(&mut d.weights, &mut d.grad_w, &mut d.vel_w, lr, momentum);
-                sgd(&mut d.bias, &mut d.grad_b, &mut d.vel_b, lr, momentum);
-            }
-            Layer::Residual(r) => {
-                for l in r.main.iter_mut().chain(r.shortcut.iter_mut()) {
-                    l.step(lr, momentum);
-                }
-            }
-            _ => {}
+            Layer::Conv2d(c) => Some((&mut c.weights, &mut c.bias, &mut c.train)),
+            Layer::DwConv2d(c) => Some((&mut c.weights, &mut c.bias, &mut c.train)),
+            Layer::Dense(d) => Some((&mut d.weights, &mut d.bias, &mut d.train)),
+            _ => None,
         }
     }
 
@@ -945,6 +934,15 @@ mod tests {
         StdRng::seed_from_u64(42)
     }
 
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn normal(rng: &mut StdRng, shape: &[usize]) -> Tensor {
+        let n = shape.iter().product();
+        Tensor::from_vec(shape, (0..n).map(|_| sample_normal(rng)).collect())
+    }
+
     #[test]
     fn conv_identity_kernel() {
         let mut c = Conv2d::new(&mut rng(), 1, 1, 3, 1, 1);
@@ -1052,6 +1050,43 @@ mod tests {
         }
     }
 
+    /// Weight gradients of both convolutions under a seeded upstream
+    /// gradient (the loss is `Σ grad_y ⊙ y`, linear in every weight), so
+    /// a transposed or misplaced tap shows; a sum loss is blind to both.
+    #[test]
+    fn conv_weight_gradients_match_finite_differences() {
+        let mut rng = rng();
+        let layers = [
+            Layer::Conv2d(Conv2d::new(&mut rng, 2, 2, 3, 1, 1)),
+            Layer::DwConv2d(DwConv2d::new(&mut rng, 2, 3, 2, 1)),
+        ];
+        for mut layer in layers {
+            let x = normal(&mut rng, &[2, 5, 4]);
+            let grad_y = normal(&mut rng, layer.forward_train(&x).shape());
+            layer.backward(&grad_y).expect("cache was filled");
+            let loss = |l: &Layer| -> f32 {
+                let y = l.forward(&x);
+                y.data().iter().zip(grad_y.data()).map(|(y, g)| y * g).sum()
+            };
+            let grad_w = layer.params_mut().expect("weight layer").2.grad_w.clone();
+            let eps = 1e-2;
+            for i in 0..grad_w.len() {
+                let nudged = |delta: f32| {
+                    let mut l = layer.clone();
+                    l.params_mut().expect("weight layer").0.data_mut()[i] += delta;
+                    loss(&l)
+                };
+                let fd = (nudged(eps) - nudged(-eps)) / (2.0 * eps);
+                assert!(
+                    (grad_w.data()[i] - fd).abs() < 1e-2,
+                    "{} weight grad at {i}: {} vs {fd}",
+                    layer.kind(),
+                    grad_w.data()[i]
+                );
+            }
+        }
+    }
+
     #[test]
     fn dense_weight_gradients_match_finite_differences() {
         let mut rng = rng();
@@ -1066,7 +1101,7 @@ mod tests {
         // grad_w[o][i] should equal x[i] for a sum loss.
         for o in 0..3 {
             for i in 0..4 {
-                assert!((d.grad_w.data()[o * 4 + i] - x.data()[i]).abs() < 1e-6);
+                assert!((d.train.grad_w.data()[o * 4 + i] - x.data()[i]).abs() < 1e-6);
             }
         }
     }
@@ -1082,9 +1117,9 @@ mod tests {
             unreachable!()
         };
         assert_eq!(c.weights, b.weights);
-        assert_eq!(c.vel_w.shape(), c.weights.shape());
+        assert_eq!(c.train.vel_w.shape(), c.weights.shape());
         assert!(
-            b.grad_w.is_empty() && b.vel_w.is_empty(),
+            b.train.grad_w.is_empty() && b.train.vel_w.is_empty(),
             "fresh layers hold no training state"
         );
     }
@@ -1217,5 +1252,76 @@ mod tests {
         // Clean inputs take the nominal kernel path.
         let clean = Tensor::from_vec(&[3], vec![1.0, 0.0, 2.0]);
         assert_eq!(layer.forward(&clean).data(), &[0.5 + 1.0 + 200.0]);
+    }
+
+    /// The one convolution backward loop indexes a depthwise layer like
+    /// the full convolution whose `[ch, ch, k, k]` kernel is block-diagonal
+    /// with the same taps: the input, bias and (diagonal) weight gradients
+    /// are bit-identical, the off-diagonal taps adding only zeros.
+    #[test]
+    fn depthwise_backward_matches_a_block_diagonal_conv() {
+        let (ch, k) = (3, 3);
+        for (stride, pad) in [(1, 1), (2, 0)] {
+            let mut rng = rng();
+            let dw = DwConv2d::new(&mut rng, ch, k, stride, pad);
+            let mut full = Conv2d::new(&mut rng, ch, ch, k, stride, pad);
+            full.weights.data_mut().fill(0.0);
+            for c in 0..ch {
+                let taps = &dw.weights.data()[c * k * k..(c + 1) * k * k];
+                let diag = (c * ch + c) * k * k;
+                full.weights.data_mut()[diag..diag + k * k].copy_from_slice(taps);
+            }
+            full.bias = normal(&mut rng, &[ch]);
+            let mut dw = Layer::DwConv2d(DwConv2d {
+                bias: full.bias.clone(),
+                ..dw
+            });
+            let mut full = Layer::Conv2d(full);
+            let x = normal(&mut rng, &[ch, 6, 5]);
+            let y = dw.forward_train(&x);
+            assert_eq!(full.forward_train(&x).shape(), y.shape());
+            // Some zero output gradients, so the skip is exercised too.
+            let mut grad_y = normal(&mut rng, y.shape());
+            for g in grad_y.data_mut().iter_mut().step_by(5) {
+                *g = 0.0;
+            }
+            let gx_dw = dw.backward(&grad_y).expect("cache was filled");
+            let gx_full = full.backward(&grad_y).expect("cache was filled");
+            let at = format!("stride {stride} pad {pad}");
+            assert_eq!(bits(&gx_dw), bits(&gx_full), "grad_x, {at}");
+            let (Layer::DwConv2d(d), Layer::Conv2d(f)) = (&dw, &full) else {
+                unreachable!()
+            };
+            assert_eq!(bits(&d.train.grad_b), bits(&f.train.grad_b), "grad_b, {at}");
+            for c in 0..ch {
+                let diag = (c * ch + c) * k * k;
+                assert_eq!(
+                    bits(&d.train.grad_w)[c * k * k..(c + 1) * k * k],
+                    bits(&f.train.grad_w)[diag..diag + k * k],
+                    "grad_w channel {c}, {at}"
+                );
+            }
+        }
+    }
+
+    /// A training forward pass returns the inference forward pass bit for
+    /// bit and leaves every cache a backward pass needs, on a plain CNN, a
+    /// ResNet with a projection shortcut and a depthwise-separable CNN.
+    #[test]
+    fn forward_train_is_forward_plus_the_caches() {
+        use crate::models::{ds_cnn, kws_mini, resnet_mini};
+        let nets = [
+            ("kws_mini", kws_mini(12, 8, 4, 1), [1, 12, 8]),
+            ("resnet_mini", resnet_mini(4, 4, 2), [3, 8, 8]),
+            ("ds_cnn", ds_cnn(4, 6, 2, 3), [1, 12, 8]),
+        ];
+        for (name, mut net, shape) in nets {
+            let x = normal(&mut rng(), &shape);
+            let y = net.forward(&x);
+            let y_train = net.forward_train(&x);
+            assert_eq!(bits(&y_train), bits(&y), "{name}");
+            let ones = Tensor::from_vec(y.shape(), vec![1.0; y.len()]);
+            assert_eq!(net.backward(&ones), Ok(()), "{name}");
+        }
     }
 }

@@ -94,23 +94,31 @@ impl ConfusionMatrix {
     /// Evaluates a float network over a dataset.
     #[must_use]
     pub fn evaluate(net: &Network, data: &Dataset) -> Self {
-        let mut m = Self::new(data.classes());
-        for i in 0..data.len() {
-            let (x, label) = data.sample(i);
-            m.record(label, net.forward(&x).argmax());
-        }
-        m
+        Self::evaluate_with(data, |x| net.forward(x).argmax())
     }
 
     /// Evaluates the quantized/approximate path over a dataset.
     #[must_use]
     pub fn evaluate_approx(net: &Network, data: &Dataset, multiplier: ApproxMultiplier) -> Self {
-        let calib: Vec<Tensor> = (0..data.len().min(16)).map(|i| data.sample(i).0).collect();
-        let qnet = QuantizedNetwork::from_float(net, &calib);
+        let qnet = QuantizedNetwork::from_float(net, &data.calibration_set());
+        Self::evaluate_with(data, |x| qnet.forward(x, multiplier).argmax())
+    }
+
+    /// Records `predict` of every sample against its label. A network with
+    /// more outputs than the dataset has classes can predict past the last
+    /// class; the matrix widens to hold that miss instead of panicking.
+    fn evaluate_with(data: &Dataset, mut predict: impl FnMut(&Tensor) -> usize) -> Self {
         let mut m = Self::new(data.classes());
         for i in 0..data.len() {
             let (x, label) = data.sample(i);
-            m.record(label, qnet.forward(&x, multiplier).argmax());
+            let predicted = predict(&x);
+            if predicted >= m.classes() {
+                for row in &mut m.counts {
+                    row.resize(predicted + 1, 0);
+                }
+                m.counts.resize(predicted + 1, vec![0; predicted + 1]);
+            }
+            m.record(label, predicted);
         }
         m
     }
@@ -176,6 +184,32 @@ mod tests {
         let m = ConfusionMatrix::evaluate(&net, &data);
         assert!((m.accuracy() - accuracy(&net, &data)).abs() < 1e-9);
         assert_eq!(m.total() as usize, data.len());
+    }
+
+    /// A network with more outputs than the dataset has classes: its
+    /// predictions past the last class count as misses.
+    #[test]
+    fn predictions_past_the_last_class_are_misses() {
+        use crate::data::Dataset;
+        use crate::models::kws_mini;
+        use crate::train::accuracy;
+        let data = Dataset::synth_speech(3, 4, 8, 8, 1);
+        let net = kws_mini(8, 8, 4, 9);
+        let predictions: Vec<(usize, usize)> = (0..data.len())
+            .map(|i| {
+                let (x, label) = data.sample(i);
+                (label, net.forward(&x).argmax())
+            })
+            .collect();
+        assert!(
+            predictions.iter().any(|&(_, p)| p >= 3),
+            "some prediction is class 3"
+        );
+        let correct = predictions.iter().filter(|(l, p)| l == p).count();
+        let m = ConfusionMatrix::evaluate(&net, &data);
+        assert_eq!(m.total() as usize, data.len());
+        assert_eq!(m.accuracy(), 100.0 * correct as f64 / data.len() as f64);
+        assert_eq!(accuracy(&net, &data), m.accuracy());
     }
 
     #[test]

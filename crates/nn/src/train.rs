@@ -15,6 +15,7 @@ use rand::SeedableRng;
 
 use crate::data::Dataset;
 use crate::layers::Network;
+use crate::metrics::ConfusionMatrix;
 use crate::quant::QuantizedNetwork;
 use crate::tensor::Tensor;
 use nga_approx::ApproxMultiplier;
@@ -24,19 +25,17 @@ use nga_approx::ApproxMultiplier;
 /// The gradient is the classic `softmax(logits) - onehot(label)`.
 #[must_use]
 pub fn softmax_xent(logits: &Tensor, label: usize) -> (f32, Tensor) {
-    let max = logits
-        .data()
-        .iter()
-        .cloned()
-        .fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = logits.data().iter().map(|&v| (v - max).exp()).collect();
-    let sum: f32 = exps.iter().sum();
-    let probs: Vec<f32> = exps.iter().map(|&e| e / sum).collect();
-    nga_obs::record(|c| c.divs = c.divs.saturating_add(probs.len() as u64));
-    let loss = -(probs[label].max(1e-12)).ln();
+    let probs = softmax(logits);
+    let loss = xent_loss(&probs, label);
     let mut grad = probs;
     grad[label] -= 1.0;
     (loss, Tensor::from_vec(logits.shape(), grad))
+}
+
+/// Cross-entropy loss of softmax probabilities at `label` (clamped away
+/// from `ln 0`).
+fn xent_loss(probs: &[f32], label: usize) -> f32 {
+    -(probs[label].max(1e-12)).ln()
 }
 
 /// Cross-entropy gradient computed from externally supplied probabilities
@@ -113,17 +112,12 @@ pub fn train_float(net: &mut Network, data: &Dataset, cfg: &TrainConfig) -> Vec<
     losses
 }
 
-/// Top-1 accuracy of a float network on a dataset, in percent.
+/// Top-1 accuracy of a float network on a dataset, in percent: the
+/// accuracy of [`ConfusionMatrix::evaluate`], so an empty dataset scores
+/// 0.0.
 #[must_use]
 pub fn accuracy(net: &Network, data: &Dataset) -> f64 {
-    let mut correct = 0u64;
-    for i in 0..data.len() {
-        let (x, label) = data.sample(i);
-        if net.forward(&x).argmax() == label {
-            correct += 1;
-        }
-    }
-    100.0 * correct as f64 / data.len() as f64
+    ConfusionMatrix::evaluate(net, data).accuracy()
 }
 
 /// Approximate retraining (§IV-B): each step runs the *approximate
@@ -143,7 +137,7 @@ pub fn retrain_approx(
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut order: Vec<usize> = (0..data.len()).collect();
     let mut losses = Vec::with_capacity(cfg.epochs);
-    let calib: Vec<Tensor> = (0..data.len().min(16)).map(|i| data.sample(i).0).collect();
+    let calib = data.calibration_set();
     // The gradient estimator is only a heuristic (the true gradient is
     // undefined); with very crude multipliers it can diverge, so keep the
     // best checkpoint — including the starting point — by *static*
@@ -156,7 +150,7 @@ pub fn retrain_approx(
         for i in 0..data.len() {
             let (x, label) = data.sample(i);
             let probs = softmax(&qnet.forward(&x, multiplier));
-            total += -(probs[label].max(1e-12)).ln();
+            total += xent_loss(&probs, label);
         }
         total / data.len() as f32
     };
@@ -170,7 +164,7 @@ pub fn retrain_approx(
             // Ỹ: approximate quantized forward.
             let approx_logits = qnet.forward(&x, multiplier);
             let probs = softmax(&approx_logits);
-            let loss = -(probs[label].max(1e-12)).ln();
+            let loss = xent_loss(&probs, label);
             total += loss;
             let grad = xent_grad_from_probs(&probs, label);
             // Y: accurate forward to fill caches, then backprop the
@@ -192,19 +186,11 @@ pub fn retrain_approx(
     losses
 }
 
-/// Top-1 accuracy of the quantized/approximate path, in percent.
+/// Top-1 accuracy of the quantized/approximate path, in percent: the
+/// accuracy of [`ConfusionMatrix::evaluate_approx`].
 #[must_use]
 pub fn accuracy_approx(net: &Network, data: &Dataset, multiplier: ApproxMultiplier) -> f64 {
-    let calib: Vec<Tensor> = (0..data.len().min(16)).map(|i| data.sample(i).0).collect();
-    let qnet = QuantizedNetwork::from_float(net, &calib);
-    let mut correct = 0u64;
-    for i in 0..data.len() {
-        let (x, label) = data.sample(i);
-        if qnet.forward(&x, multiplier).argmax() == label {
-            correct += 1;
-        }
-    }
-    100.0 * correct as f64 / data.len() as f64
+    ConfusionMatrix::evaluate_approx(net, data, multiplier).accuracy()
 }
 
 #[cfg(test)]
@@ -228,6 +214,12 @@ mod tests {
         let p = softmax(&logits);
         assert!(p[0] > p[1]);
         assert!((p[0] + p[1] - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn accuracy_of_an_empty_dataset_is_zero() {
+        let net = crate::models::kws_mini(4, 4, 3, 1);
+        assert_eq!(accuracy(&net, &Dataset::from_samples(Vec::new(), 3)), 0.0);
     }
 
     #[test]

@@ -70,6 +70,19 @@ cmp TRACE_REPORT.quick.json TRACE_REPORT.quick.json.rerun || {
     exit 1
 }
 rm -f TRACE_REPORT.quick.json.rerun
+# Training and evaluation must not depend on the worker thread count:
+# fig5's quick run (float training, approximate retraining and accuracy
+# on two DNNs, ~7 s) on one and on three worker threads must print the
+# same output, apart from the banner line that names the thread count.
+for t in 1 3; do
+    NGA_THREADS=$t cargo run -q --release -p nga-bench --bin fig5 -- --quick \
+        > "target/fig5.quick.threads$t.txt"
+    sed -i '/worker thread(s)/d' "target/fig5.quick.threads$t.txt"
+done
+cmp target/fig5.quick.threads1.txt target/fig5.quick.threads3.txt || {
+    echo "fig5 --quick: output depends on the worker thread count" >&2
+    exit 1
+}
 # The committed reports must match the code. The steps above regenerated
 # them in place; a change that alters a report without committing the new
 # one fails here instead of leaving a stale report behind.

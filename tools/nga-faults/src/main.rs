@@ -87,7 +87,7 @@ fn print_summary(report: &Report) {
             r.format, r.rate_ppm, r.cases, r.flips, r.special_ppm, r.mre_ppm
         );
     }
-    println!("lookup-table corruption (table tier vs scalar tier):");
+    println!("lookup-table corruption (fused-table kernel vs scalar kernel):");
     for r in &report.luts {
         let status = if r.recovered { "recovered" } else { "NOT RECOVERED" };
         println!(

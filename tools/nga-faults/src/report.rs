@@ -56,7 +56,7 @@ pub struct OperandRow {
 /// One lookup-table corruption row (8-bit format × rate).
 #[derive(Debug, Clone)]
 pub struct LutRow {
-    /// Format identifier (table tier formats only).
+    /// 8-bit format identifier.
     pub format: String,
     /// Per-bit upset rate in ppm.
     pub rate_ppm: u32,

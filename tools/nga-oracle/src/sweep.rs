@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 use nga_core::{Posit, PositFormat};
 use nga_fixed::{Fixed, FixedFormat, OverflowMode, RoundingMode};
-use nga_kernels::{add_table, mul_table, Format8, KernelTier};
+use nga_kernels::{add_table, mul_table, ArithCtx, Format8, KernelTier};
 use nga_softfloat::{FloatFormat, Rounding, SoftFloat, SubnormalMode};
 
 use crate::float::{self, host};
@@ -728,7 +728,9 @@ pub fn run(opts: &Options) -> Report {
             let a: Vec<u8> = (0..=255u8).collect();
             let b: Vec<u8> = (0..=255u8).collect();
             let mut out = vec![0u8; 65536];
-            tier.matmul8(fmt, &a, &b, &mut out, 256, 1, 256);
+            ArithCtx::labeled("oracle")
+                .with_tier(tier)
+                .matmul8(fmt, &a, &b, &mut out, 256, 1, 256);
             let mut o = Outcome::default();
             for (idx, &got) in out.iter().enumerate() {
                 let (i, j) = ((idx >> 8) as u8, (idx & 255) as u8);
@@ -742,7 +744,9 @@ pub fn run(opts: &Options) -> Report {
                     ins.get(1).copied().unwrap_or(0) as u8,
                 );
                 let mut cell = [0u8; 1];
-                tier.matmul8(fmt, &[i], &[j], &mut cell, 1, 1, 1);
+                ArithCtx::labeled("oracle")
+                    .with_tier(tier)
+                    .matmul8(fmt, &[i], &[j], &mut cell, 1, 1, 1);
                 let m = format8_oracle_mul(fmt, i, j, &p8);
                 let want = format8_oracle_add(fmt, 0, m, &p8);
                 (u64::from(cell.first().copied().unwrap_or(0)), u64::from(want))
