@@ -55,6 +55,23 @@ impl ApproxMultiplier {
         Self::Trunc9,
     ];
 
+    /// Every multiplier, in declaration order: `Exact`, the ten `LADDER`
+    /// members and `BrokenArray8`.
+    pub const ALL: [Self; 12] = [
+        Self::Exact,
+        Self::DropLsb,
+        Self::Trunc3,
+        Self::Trunc5,
+        Self::Loa6,
+        Self::Drum5,
+        Self::Mitchell,
+        Self::Drum4,
+        Self::BrokenArray8,
+        Self::Drum3,
+        Self::Trunc8,
+        Self::Trunc9,
+    ];
+
     /// Multiplies two unsigned 8-bit operands approximately.
     #[must_use]
     pub fn multiply(&self, a: u8, b: u8) -> u16 {
@@ -245,7 +262,7 @@ mod tests {
 
     #[test]
     fn zero_times_anything_is_zero_for_all() {
-        for m in ApproxMultiplier::LADDER {
+        for m in ApproxMultiplier::ALL {
             for b in [0u8, 1, 7, 128, 255] {
                 assert_eq!(m.multiply(0, b), 0, "{m} 0*{b}");
                 assert_eq!(m.multiply(b, 0), 0, "{m} {b}*0");
@@ -255,7 +272,7 @@ mod tests {
 
     #[test]
     fn all_multipliers_are_deterministic_and_bounded() {
-        for m in ApproxMultiplier::LADDER {
+        for m in ApproxMultiplier::ALL {
             for a in (0..=255u16).step_by(7) {
                 for b in (0..=255u16).step_by(11) {
                     let r1 = m.multiply(a as u8, b as u8);
@@ -321,10 +338,20 @@ mod tests {
     }
 
     #[test]
-    fn ladder_ids_are_unique() {
-        let mut ids: Vec<&str> = ApproxMultiplier::LADDER.iter().map(|m| m.id()).collect();
+    fn ids_are_unique() {
+        let mut ids: Vec<&str> = ApproxMultiplier::ALL.iter().map(|m| m.id()).collect();
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), 10);
+        assert_eq!(ids.len(), ApproxMultiplier::ALL.len());
+    }
+
+    #[test]
+    fn all_is_every_variant_in_declaration_order() {
+        for (i, m) in ApproxMultiplier::ALL.into_iter().enumerate() {
+            assert_eq!(m as usize, i, "{m}");
+        }
+        // The last variant closes the list.
+        let last = ApproxMultiplier::Trunc9 as usize;
+        assert_eq!(last + 1, ApproxMultiplier::ALL.len());
     }
 }

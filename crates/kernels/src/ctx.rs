@@ -138,16 +138,13 @@ impl ArithCtx {
 
     /// Folds one scalar op's events into the sticky status and into the
     /// context's own trace counts, which reach its trace scope when it is
-    /// dropped. The trace update takes no lock and no allocation, and
-    /// compiles away under `obs-off`.
+    /// dropped. The trace update takes no lock and no allocation.
     #[inline]
     fn fold_scalar(&mut self, ev: Event8, count_op: impl FnOnce(&mut nga_obs::OpCounts)) {
         self.counters.record(ev);
-        if nga_obs::ENABLED {
-            count_op(&mut self.trace);
-            self.trace.ops = self.trace.ops.saturating_add(1);
-            self.trace.add_event_bits(ev.bits());
-        }
+        count_op(&mut self.trace);
+        self.trace.ops = self.trace.ops.saturating_add(1);
+        self.trace.add_event_bits(ev.bits());
     }
 
     /// `out = a · b` over 8-bit format codes through the selected tier.
@@ -211,7 +208,7 @@ mod tests {
                 assert_eq!(ctx.add(fmt, a, b), want_a, "{} add", fmt.id());
             }
         }
-        assert_eq!(ctx.counters().ops(), 4 * 3 * 2);
+        assert_eq!(ctx.counters().ops(), Format8::ALL.len() as u64 * 3 * 2);
         // Q4.4 0x7F * 0x7F saturates, so the sticky union has SATURATED.
         assert!(ctx.events().contains(Event8::SATURATED));
         ctx.reset_status();
@@ -239,7 +236,6 @@ mod tests {
 
     /// A context used and dropped on a scoped worker has published its
     /// scalar counts by the time the scope returns.
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn worker_ctx_counts_are_visible_after_the_scope() {
         std::thread::scope(|s| {
@@ -270,7 +266,6 @@ mod tests {
     /// The trace counts every op once: the rows under a context's label
     /// (its own scope and the kernel scopes under it) add up to its
     /// sticky counters, on every tier.
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn trace_under_the_label_reconciles_with_the_counters() {
         let label = "ctx-test-trace";
@@ -307,7 +302,6 @@ mod tests {
 
     /// Scalar counts go to the context's own label even when the
     /// innermost span at the drop is one the context did not open.
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn drop_under_an_inner_span_publishes_at_the_label() {
         let label = "ctx-test-inner";
@@ -332,7 +326,6 @@ mod tests {
 
     /// A live context's scalar counts are not in a snapshot; after the
     /// drop they are, once, equal to its scalar ops.
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn scalar_counts_reach_the_trace_once_on_drop() {
         let label = "ctx-test-live";
@@ -348,11 +341,12 @@ mod tests {
         };
         assert_eq!(at_label(), want, "live: only the span entry");
         ctx.counters().fold_into_obs(&mut want);
-        (want.muls, want.adds) = (4, 4);
+        let formats = Format8::ALL.len() as u64;
+        (want.muls, want.adds) = (formats, formats);
         drop(ctx);
         assert_eq!(at_label(), want);
         assert_eq!(at_label(), want, "a second snapshot adds nothing");
-        assert_eq!(want.ops, 8);
+        assert_eq!(want.ops, 2 * formats);
         assert!(want.nar_nan > 0, "E5M2 ∞·0 and ∞ + −∞ raise NaN");
     }
 

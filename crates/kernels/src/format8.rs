@@ -7,27 +7,26 @@ use nga_softfloat::{FloatFormat, SoftFloat};
 
 use crate::status::Event8;
 
-/// An 8-bit number format, identified so kernels can be generic over it.
-///
-/// Values are raw encodings (`u8` codes): posit bit patterns, IEEE-style
-/// FP8 bit patterns, or two's-complement Q4.4 raw words. All scalar ops
-/// round to nearest-even in the source crates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Format8 {
-    /// posit⟨8,0⟩ (`PositFormat::POSIT8`): NaR = `0x80`.
-    Posit8 = 0,
-    /// IEEE-style FP8 with 4 exponent / 3 fraction bits.
-    E4m3 = 1,
-    /// IEEE-style FP8 with 5 exponent / 2 fraction bits.
-    E5m2 = 2,
-    /// Signed Q4.4 fixed point (saturating).
-    Fixed8 = 3,
+enum_with_all! {
+    /// An 8-bit number format, identified so kernels can be generic over it.
+    ///
+    /// Values are raw encodings (`u8` codes): posit bit patterns, IEEE-style
+    /// FP8 bit patterns, or two's-complement Q4.4 raw words. All scalar ops
+    /// round to nearest-even in the source crates.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum Format8 {
+        /// posit⟨8,0⟩ (`PositFormat::POSIT8`): NaR = `0x80`.
+        Posit8,
+        /// IEEE-style FP8 with 4 exponent / 3 fraction bits.
+        E4m3,
+        /// IEEE-style FP8 with 5 exponent / 2 fraction bits.
+        E5m2,
+        /// Signed Q4.4 fixed point (saturating).
+        Fixed8,
+    }
 }
 
 impl Format8 {
-    /// All four formats, in cache-index order.
-    pub const ALL: [Self; 4] = [Self::Posit8, Self::E4m3, Self::E5m2, Self::Fixed8];
-
     /// Stable short name (used in benchmark output and JSON).
     #[must_use]
     pub fn id(self) -> &'static str {
@@ -39,7 +38,8 @@ impl Format8 {
         }
     }
 
-    /// Index into per-format cache arrays.
+    /// Index into per-format cache arrays: the format's position in
+    /// [`ALL`](Self::ALL).
     #[inline(always)]
     #[must_use]
     pub(crate) fn index(self) -> usize {
@@ -199,6 +199,13 @@ mod tests {
             assert_eq!(fmt.decode(one), 1.0);
             assert_eq!(fmt.add_scalar_events(0, one).0, one, "0 + 1 = 1");
             assert_eq!(fmt.mul_scalar_events(one, one).0, one, "1 * 1 = 1");
+        }
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, fmt) in Format8::ALL.into_iter().enumerate() {
+            assert_eq!(fmt.index(), i, "{}", fmt.id());
         }
     }
 

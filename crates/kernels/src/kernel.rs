@@ -2,33 +2,32 @@
 //! fused tables. [`ArithCtx`](crate::ArithCtx) matches on its tier to pick
 //! a kernel.
 
-/// An execution tier as a first-class value: the one way to pick a
-/// kernel.
-///
-/// Construct one directly or [`parse`](Self::parse) it from a CLI
-/// argument, then hand it to
-/// [`ArithCtx::with_tier`](crate::ArithCtx::with_tier): the context is
-/// where a tier becomes a kernel.
-///
-/// ```
-/// use nga_kernels::KernelTier;
-/// assert_eq!(KernelTier::parse("scalar"), Some(KernelTier::Scalar));
-/// assert_eq!(KernelTier::Parallel.name(), "parallel");
-/// assert_eq!(KernelTier::default(), KernelTier::Parallel);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KernelTier {
-    /// Decode/compute/encode through the reference scalar ops, serial.
-    Scalar,
-    /// One fused value+event table lookup per multiply/add, in
-    /// scoped-thread row bands once the output is large enough.
-    Parallel,
+enum_with_all! {
+    /// An execution tier as a first-class value: the one way to pick a
+    /// kernel.
+    ///
+    /// Construct one directly or [`parse`](Self::parse) it from a CLI
+    /// argument, then hand it to
+    /// [`ArithCtx::with_tier`](crate::ArithCtx::with_tier): the context is
+    /// where a tier becomes a kernel.
+    ///
+    /// ```
+    /// use nga_kernels::KernelTier;
+    /// assert_eq!(KernelTier::parse("scalar"), Some(KernelTier::Scalar));
+    /// assert_eq!(KernelTier::Parallel.name(), "parallel");
+    /// assert_eq!(KernelTier::default(), KernelTier::Parallel);
+    /// ```
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum KernelTier {
+        /// Decode/compute/encode through the reference scalar ops, serial.
+        Scalar,
+        /// One fused value+event table lookup per multiply/add, in
+        /// scoped-thread row bands once the output is large enough.
+        Parallel,
+    }
 }
 
 impl KernelTier {
-    /// All tiers, in escalation order.
-    pub const ALL: [Self; 2] = [Self::Scalar, Self::Parallel];
-
     /// Stable tier name (used in benchmark output and JSON).
     #[must_use]
     pub fn name(self) -> &'static str {

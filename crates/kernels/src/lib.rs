@@ -36,6 +36,29 @@
     clippy::indexing_slicing
 )]
 
+/// Declares a field-less enum and its `ALL` array from one variant list,
+/// so `ALL` names every variant, in declaration order. Variants take
+/// their discriminants in that order too (`v as usize` is `v`'s index in
+/// `ALL`). Doc comments and attributes go inside the invocation.
+macro_rules! enum_with_all {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $($(#[$vmeta:meta])* $variant:ident,)+
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $($(#[$vmeta])* $variant,)+
+        }
+
+        impl $name {
+            /// Every variant, in declaration order.
+            pub const ALL: [Self; [$($name::$variant),+].len()] = [$(Self::$variant),+];
+        }
+    };
+}
+
 mod ctx;
 mod format8;
 mod kernel;

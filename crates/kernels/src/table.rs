@@ -13,6 +13,9 @@ use nga_approx::ApproxMultiplier;
 use crate::format8::Format8;
 use crate::status::Event8;
 
+/// Entries in an exhaustive table over two 8-bit operands: one per pair.
+const ENTRIES: usize = 1 << (2 * u8::BITS);
+
 /// An exhaustive `u8 × u8 → (u8, Event8)` operation table (128 KiB):
 /// entry `(a, b)` holds the result code in its low byte and the
 /// [`Event8::bits`] the op raises in its high byte. It carries an FNV-1a
@@ -27,7 +30,7 @@ use crate::status::Event8;
 /// [`Self::corrupt_entry`] is the fault-injection hook that models the
 /// upset (it deliberately does *not* refresh the checksum).
 pub struct BinaryTable {
-    entries: Box<[u16; 65536]>,
+    entries: Box<[u16; ENTRIES]>,
     checksum: u64,
 }
 
@@ -44,14 +47,14 @@ fn fnv1a(entries: &[u16]) -> u64 {
     h
 }
 
-/// Entry index of `(a, b)`: always below 65 536.
+/// Entry index of `(a, b)`: always below [`ENTRIES`].
 #[inline(always)]
 fn index(a: u8, b: u8) -> usize {
     (usize::from(a) << 8) | usize::from(b)
 }
 
 impl BinaryTable {
-    /// Builds a value table by evaluating `op` on all 65 536 input pairs;
+    /// Builds a value table by evaluating `op` on every input pair;
     /// every entry's events are empty.
     #[must_use]
     pub fn build(op: impl Fn(u8, u8) -> u8) -> Self {
@@ -59,11 +62,11 @@ impl BinaryTable {
     }
 
     /// Builds the fused table by evaluating `op` — a result code and the
-    /// events it raises — on all 65 536 input pairs.
+    /// events it raises — on every input pair.
     #[must_use]
-    #[expect(clippy::indexing_slicing, reason = "index(a, b) < 65536")]
+    #[expect(clippy::indexing_slicing, reason = "index(a, b) < ENTRIES")]
     pub fn build_with_events(op: impl Fn(u8, u8) -> (u8, Event8)) -> Self {
-        let mut entries = Box::new([0u16; 65536]);
+        let mut entries = Box::new([0u16; ENTRIES]);
         for a in 0..=255u8 {
             for b in 0..=255u8 {
                 let (code, ev) = op(a, b);
@@ -84,10 +87,10 @@ impl BinaryTable {
     /// Looks up the code of `op(a, b)` and the events it raises.
     #[inline(always)]
     #[must_use]
-    #[expect(clippy::indexing_slicing, reason = "index(a, b) < 65536")]
+    #[expect(clippy::indexing_slicing, reason = "index(a, b) < ENTRIES")]
     pub fn get_with_events(&self, a: u8, b: u8) -> (u8, Event8) {
-        // Indexing [u16; 65536] with (a << 8) | b is always in bounds, so
-        // the bounds check compiles away.
+        // Indexing [u16; ENTRIES] with (a << 8) | b is always in bounds,
+        // so the bounds check compiles away.
         let e = self.entries[index(a, b)];
         (e as u8, Event8::from_bits((e >> 8) as u8))
     }
@@ -109,7 +112,7 @@ impl BinaryTable {
     /// code in the low byte, the event bits in the high byte), modeling a
     /// single-event upset in table SRAM. The stored checksum is left
     /// untouched, so [`Self::verify`] reports the damage.
-    #[expect(clippy::indexing_slicing, reason = "index(a, b) < 65536")]
+    #[expect(clippy::indexing_slicing, reason = "index(a, b) < ENTRIES")]
     pub fn corrupt_entry(&mut self, a: u8, b: u8, mask: u16) {
         self.entries[index(a, b)] ^= mask;
     }
@@ -222,22 +225,22 @@ impl StatusOp {
 }
 
 /// An exhaustive multiply-accumulate table for one approximate
-/// multiplier: the product magnitude `m.multiply(|w|, a)` for all 65 536
-/// `(w: i8, a: u8)` operand pairs, as `u16` (128 KiB). [`MacTable::mac`]
+/// multiplier: the product magnitude `m.multiply(|w|, a)` for every
+/// `(w: i8, a: u8)` operand pair, as `u16` (128 KiB). [`MacTable::mac`]
 /// applies the sign of `w`.
 ///
 /// This is the quantized-inference inner op (`nga-nn`'s ProxSim path):
 /// one load replaces an abs/widen/multiply sequence per MAC.
 pub struct MacTable {
-    entries: Box<[u16; 65536]>,
+    entries: Box<[u16; ENTRIES]>,
 }
 
 impl MacTable {
     /// Builds the table for `m`.
     #[must_use]
-    #[expect(clippy::indexing_slicing, reason = "(w << 8) | a < 65536")]
+    #[expect(clippy::indexing_slicing, reason = "(w << 8) | a < ENTRIES")]
     pub fn build(m: ApproxMultiplier) -> Self {
-        let mut entries = Box::new([0u16; 65536]);
+        let mut entries = Box::new([0u16; ENTRIES]);
         for w in 0..=255u8 {
             for a in 0..=255u8 {
                 entries[(usize::from(w) << 8) | usize::from(a)] =
@@ -250,7 +253,7 @@ impl MacTable {
     /// Looks up `sign(w) · m.multiply(|w|, a)`.
     #[inline(always)]
     #[must_use]
-    #[expect(clippy::indexing_slicing, reason = "(w << 8) | a < 65536")]
+    #[expect(clippy::indexing_slicing, reason = "(w << 8) | a < ENTRIES")]
     pub fn mac(&self, w: i8, a: u8) -> i32 {
         let p = i32::from(self.entries[(usize::from(w as u8) << 8) | usize::from(a)]);
         if w < 0 {
@@ -265,7 +268,7 @@ impl MacTable {
     /// once per weight and applies the sign of `w` itself.
     #[inline(always)]
     #[must_use]
-    #[expect(clippy::indexing_slicing, reason = "(w << 8) + 256 <= 65536")]
+    #[expect(clippy::indexing_slicing, reason = "(w << 8) + 256 <= ENTRIES")]
     pub fn row(&self, w: i8) -> &[u16] {
         let base = usize::from(w as u8) << 8;
         &self.entries[base..base + 256]
@@ -278,10 +281,10 @@ impl std::fmt::Debug for MacTable {
     }
 }
 
-const MAC_VARIANTS: usize = 12;
+static MAC_TABLES: [OnceLock<MacTable>; ApproxMultiplier::ALL.len()] =
+    [const { OnceLock::new() }; ApproxMultiplier::ALL.len()];
 
-static MAC_TABLES: [OnceLock<MacTable>; MAC_VARIANTS] = [const { OnceLock::new() }; MAC_VARIANTS];
-
+/// `m`'s position in [`ApproxMultiplier::ALL`].
 fn mac_index(m: ApproxMultiplier) -> usize {
     match m {
         ApproxMultiplier::Exact => 0,
@@ -301,7 +304,7 @@ fn mac_index(m: ApproxMultiplier) -> usize {
 
 /// The process-wide MAC table for `m` (built on first use).
 #[inline]
-#[expect(clippy::indexing_slicing, reason = "mac_index(m) < MAC_VARIANTS")]
+#[expect(clippy::indexing_slicing, reason = "mac_index(m) < MAC_TABLES.len()")]
 pub fn mac_table(m: ApproxMultiplier) -> &'static MacTable {
     MAC_TABLES[mac_index(m)].get_or_init(|| MacTable::build(m))
 }
@@ -326,6 +329,13 @@ mod tests {
         let a = mul_table(Format8::Posit8) as *const BinaryTable;
         let b = mul_table(Format8::Posit8) as *const BinaryTable;
         assert_eq!(a, b, "OnceLock returns the same table");
+    }
+
+    #[test]
+    fn mac_index_is_the_position_in_all() {
+        for (i, m) in ApproxMultiplier::ALL.into_iter().enumerate() {
+            assert_eq!(mac_index(m), i, "{m}");
+        }
     }
 
     #[test]

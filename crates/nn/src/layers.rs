@@ -983,7 +983,6 @@ mod tests {
     /// A backward pass records twice the forward MACs (the weight- and
     /// input-gradient products) under `nn:backward`, for every weight
     /// layer kind, inside residual blocks too.
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn backward_records_twice_the_forward_macs() {
         let mut rng = rng();

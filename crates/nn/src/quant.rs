@@ -268,7 +268,8 @@ fn approx_mac(m: ApproxMultiplier, w: i8, a: u8) -> i32 {
 
 /// The output-stationary conv loop the weight-stationary [`sweep`] is
 /// proven against: per output pixel, clipped-border bounds, `Σ mac` and
-/// `Σ w`, then `acc − z·Σw`.
+/// `Σ w`, then `acc − z·Σw`. A depthwise output channel reads only its
+/// own input plane.
 #[cfg(test)]
 fn conv_reference(c: &QConv, x: &Tensor, m: ApproxMultiplier) -> Tensor {
     let (out_ch, in_ch, k) = (c.out_ch, c.in_ch, c.k);
@@ -306,7 +307,8 @@ fn conv_reference(c: &QConv, x: &Tensor, m: ApproxMultiplier) -> Tensor {
                 let mut acc: i32 = 0;
                 let mut wsum: i32 = if clipped { 0 } else { full_wsum[oc] };
                 for ic in 0..in_ch {
-                    let plane = &xq[ic * h * w..(ic + 1) * h * w];
+                    let p = if c.depthwise { oc } else { ic };
+                    let plane = &xq[p * h * w..(p + 1) * h * w];
                     let wch = &wq[ic * k * k..(ic + 1) * k * k];
                     for ky in ky_lo..ky_hi {
                         let ibase =
@@ -334,74 +336,13 @@ fn conv_reference(c: &QConv, x: &Tensor, m: ApproxMultiplier) -> Tensor {
     Tensor::from_vec(&[out_ch, oh, ow], y)
 }
 
-/// The output-stationary depthwise loop, the reference for depthwise
-/// [`sweep`]s.
-#[cfg(test)]
-fn dwconv_reference(c: &QConv, x: &Tensor, m: ApproxMultiplier) -> Tensor {
-    let (ch, k) = (c.out_ch, c.k);
-    let (h, w) = (x.shape()[1], x.shape()[2]);
-    let oh = (h + 2 * c.pad - k) / c.stride + 1;
-    let ow = (w + 2 * c.pad - k) / c.stride + 1;
-    let xq: Vec<u8> = x.data().iter().map(|&v| c.in_q.quantize(v)).collect();
-    let rescale = c.w_scale * c.in_q.scale;
-    let mac = nga_kernels::mac_table(m);
-    let npix = oh * ow;
-    let full_wsum: Vec<i32> = (0..ch)
-        .map(|cc| {
-            c.wq[cc * k * k..(cc + 1) * k * k]
-                .iter()
-                .map(|&wv| i32::from(wv))
-                .sum()
-        })
-        .collect();
-    let mut y = vec![0.0f32; ch * npix];
-    for cc in 0..ch {
-        let plane = &xq[cc * h * w..(cc + 1) * h * w];
-        let wk = &c.wq[cc * k * k..(cc + 1) * k * k];
-        let orow = &mut y[cc * npix..(cc + 1) * npix];
-        let mut oidx = 0;
-        for oy in 0..oh {
-            let iy0 = (oy * c.stride) as isize - c.pad as isize;
-            let ky_lo = (-iy0).clamp(0, k as isize) as usize;
-            let ky_hi = (h as isize - iy0).clamp(0, k as isize) as usize;
-            for ox in 0..ow {
-                let ix0 = (ox * c.stride) as isize - c.pad as isize;
-                let kx_lo = (-ix0).clamp(0, k as isize) as usize;
-                let kx_hi = (w as isize - ix0).clamp(0, k as isize) as usize;
-                let clipped = ky_hi - ky_lo < k || kx_hi - kx_lo < k;
-                let mut acc: i32 = 0;
-                let mut wsum: i32 = if clipped { 0 } else { full_wsum[cc] };
-                for ky in ky_lo..ky_hi {
-                    let ibase = (iy0 + ky as isize) as usize * w + (ix0 + kx_lo as isize) as usize;
-                    let wbase = ky * k + kx_lo;
-                    let taps = kx_hi - kx_lo;
-                    for (&wv, &av) in wk[wbase..wbase + taps]
-                        .iter()
-                        .zip(&plane[ibase..ibase + taps])
-                    {
-                        acc += mac.mac(wv, av);
-                        if clipped {
-                            wsum += i32::from(wv);
-                        }
-                    }
-                }
-                let corrected = acc - c.in_q.zero * wsum;
-                orow[oidx] = corrected as f32 * rescale + c.bias[cc];
-                oidx += 1;
-            }
-        }
-    }
-    Tensor::from_vec(&[ch, oh, ow], y)
-}
-
 /// The layer walk [`QuantizedNetwork::forward`] is proven against: the
-/// reference conv loops, a collected ReLU and cloned residual branches.
+/// reference conv loop, a collected ReLU and cloned residual branches.
 #[cfg(test)]
 fn forward_reference(layers: &[QLayer], x: &Tensor, m: ApproxMultiplier) -> Tensor {
     let mut t = x.clone();
     for l in layers {
         t = match l {
-            QLayer::Conv(c) if c.depthwise => dwconv_reference(c, &t, m),
             QLayer::Conv(c) => conv_reference(c, &t, m),
             QLayer::Relu => {
                 let data = t.data().iter().map(|&v| v.max(0.0)).collect();
@@ -608,13 +549,6 @@ mod tests {
         t.data().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Every multiplier the flow can select: the ladder plus `Exact`.
-    fn all_multipliers() -> Vec<ApproxMultiplier> {
-        let mut all = vec![ApproxMultiplier::Exact];
-        all.extend(ApproxMultiplier::LADDER);
-        all
-    }
-
     /// Deterministic values in `[lo, lo + span)` from a seed.
     fn values(seed: u64, n: usize, lo: f32, span: f32) -> Vec<f32> {
         let mut state = seed;
@@ -660,12 +594,8 @@ mod tests {
             let c = QConv::new(&weights, &bias, stride, pad, QuantParams::from_range(lo, 2.0));
             prop_assert_eq!(c.depthwise, depthwise);
             let x = Tensor::from_vec(&[in_ch, h, w], values(seed ^ 3, in_ch * h * w, lo, 3.0 - lo));
-            for m in all_multipliers() {
-                let want = if depthwise {
-                    dwconv_reference(&c, &x, m)
-                } else {
-                    conv_reference(&c, &x, m)
-                };
+            for m in ApproxMultiplier::ALL {
+                let want = conv_reference(&c, &x, m);
                 let got = conv_forward(&c, &x, m);
                 prop_assert_eq!(got.shape(), want.shape());
                 prop_assert_eq!(bits(&got), bits(&want), "{:?} k={} s={} p={} {}x{}", m, k, stride, pad, h, w);
@@ -752,7 +682,6 @@ mod tests {
 
     /// The calibration walk's layer scopes open under `nn:calibrate`, not
     /// at the caller's scope.
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn calibration_layers_trace_under_their_own_scope() {
         let net = crate::models::kws_mini(8, 4, 3, 1);
@@ -770,12 +699,8 @@ mod tests {
 
     #[test]
     fn mac_table_matches_scalar_reference_exhaustively() {
-        // Exact plus the ladder's two ends: every (w, a) pair.
-        for m in [
-            ApproxMultiplier::Exact,
-            ApproxMultiplier::DropLsb,
-            ApproxMultiplier::Trunc9,
-        ] {
+        // Every multiplier, every (w, a) pair.
+        for m in ApproxMultiplier::ALL {
             let t = nga_kernels::mac_table(m);
             for w in i8::MIN..=i8::MAX {
                 for a in 0..=255u8 {

@@ -2,7 +2,7 @@
 //!
 //! The paper's whole evaluation is *counting*: operations per inference,
 //! events per sweep, LUT traffic per layer. This crate is the one place
-//! those counts accumulate — a dependency-free metrics layer with three
+//! those counts accumulate — a dependency-free metrics layer with two
 //! deliberate properties:
 //!
 //! * **Deterministic.** Counters are monotonic saturating `u64` sums keyed
@@ -14,9 +14,6 @@
 //!   clock (`clippy.toml` bans both workspace-wide); wall-clock timing
 //!   stays in `nga-bench` and the tools. A trace records *what* was
 //!   computed, never *when*.
-//! * **Compiled out on demand.** With the `obs-off` cargo feature every
-//!   entry point is an empty `#[inline]` function and [`Span`] is
-//!   zero-sized, so production builds pay nothing.
 //!
 //! # Model
 //!
@@ -41,11 +38,8 @@
 //! }
 //! nga_obs::record_at(root.path(), |c| c.ops = c.ops.saturating_add(1));
 //! let report = nga_obs::snapshot();
-//! // An `obs-off` build records nothing, so its report has no rows.
-//! let want = nga_obs::ENABLED.then_some(8);
-//! assert_eq!(report.get("demo/matmul").map(|c| c.muls), want);
-//! let json = report.to_json("quick");
-//! assert_eq!(json.contains("\"demo/matmul\""), nga_obs::ENABLED);
+//! assert_eq!(report.get("demo/matmul").map(|c| c.muls), Some(8));
+//! assert!(report.to_json("quick").contains("\"demo/matmul\""));
 //! ```
 
 #![deny(
@@ -59,20 +53,9 @@
 )]
 
 mod counters;
+mod registry;
 mod report;
 
-#[cfg(not(feature = "obs-off"))]
-#[path = "enabled.rs"]
-mod imp;
-
-#[cfg(feature = "obs-off")]
-#[path = "disabled.rs"]
-mod imp;
-
-/// Whether this build records: `false` under the `obs-off` feature, where
-/// every entry point is a no-op and [`snapshot`] is always empty.
-pub const ENABLED: bool = cfg!(not(feature = "obs-off"));
-
 pub use counters::OpCounts;
-pub use imp::{record, record_at, reset, snapshot, span, Span};
+pub use registry::{record, record_at, reset, snapshot, span, Span};
 pub use report::{ScopeRow, TraceReport};

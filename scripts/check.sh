@@ -24,10 +24,6 @@ NGA_THREADS=3 cargo test -q -p nga-kernels -p nga-nn --test equivalence --test s
 # the banding threshold as a single serial band.
 NGA_THREADS=1 cargo test -q -p nga-kernels -p nga-nn --test equivalence --test status \
     --test conv_differential
-# The recording-off build: nga-obs, nga-kernels and nga-nn (doctests
-# included) must pass with every trace entry point compiled to a no-op.
-cargo test -q -p nga-obs -p nga-kernels -p nga-nn \
-    --features nga-obs/obs-off,nga-kernels/obs-off,nga-nn/obs-off
 # API docs build warning-free, so an intra-doc link to a removed or
 # renamed item fails here.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline -q --workspace --no-deps
@@ -35,9 +31,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline -q --workspace --no-deps
 # and check each item bit for bit, so a library change that breaks them
 # fails here, not only when the benchmark runs.
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
-# Workspace invariants that rustc and clippy cannot express (no host
-# floats in the bit-exact cores, LUT/kernel consistency): fails on any
-# finding and refreshes LINT_REPORT.json.
+# The workspace invariant that rustc and clippy cannot express (no host
+# floats in the bit-exact cores) and its reasoned `// lint:` waivers:
+# fails on any finding and refreshes LINT_REPORT.json.
 cargo run -q --release -p nga-lint -- --json
 # Differential oracle quick sweep (~50M cases): fails on any mismatch
 # between the datapaths and the exact-arithmetic reference, and
@@ -98,10 +94,6 @@ git diff --exit-code -- LINT_REPORT.json ORACLE_REPORT.quick.json \
 # #[allow], panic-free arithmetic crates (the deny list in their crate
 # roots) and no ambient env/clock reads (clippy.toml).
 cargo clippy --workspace --all-targets -- -D warnings
-# Again with recording compiled out: crates/obs/src/disabled.rs is only
-# built under obs-off.
-cargo clippy -p nga-obs -p nga-kernels -p nga-nn --all-targets \
-    --features nga-obs/obs-off,nga-kernels/obs-off,nga-nn/obs-off -- -D warnings
 # Those compiler-enforced rules must still fire: clippy must report each
 # seeded violation in nga-lint's clippy fixture crate at its line.
 scripts/clippy-fixture.sh

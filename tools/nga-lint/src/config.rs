@@ -1,21 +1,17 @@
 //! `lint.toml` policy loading.
 //!
 //! The build environment is dependency-free, so this module parses the
-//! small TOML subset the policy file actually uses: `[section.sub]`
-//! headers, `key = "string"`, `key = 123` and `key = ["a", "b"]`
-//! arrays of strings (single- or multi-line), plus `#` comments.
+//! small TOML subset the policy file actually uses: `[workspace]` and
+//! `[rules.<id>]` headers, `key = ["a", "b"]` arrays of strings (single-
+//! or multi-line), plus `#` comments. Anything else (an unknown section,
+//! rule id or key, or another kind of value) is an error at its line, so
+//! a typo cannot quietly leave a rule with nothing to scan.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
-/// A parsed policy value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Value {
-    Str(String),
-    Int(u64),
-    List(Vec<String>),
-}
+use crate::rules::ALL_RULES;
 
 /// Config-file error with a line number.
 #[derive(Debug, Clone)]
@@ -39,8 +35,6 @@ pub struct RulePolicy {
     pub paths: Vec<String>,
     /// Path prefixes exempt from the rule (conversion shims, benches …).
     pub allow_paths: Vec<String>,
-    /// Extra per-rule keys (e.g. `dispatch_file`).
-    pub extra: BTreeMap<String, Value>,
 }
 
 impl RulePolicy {
@@ -49,24 +43,6 @@ impl RulePolicy {
     pub fn applies_to(&self, rel: &str) -> bool {
         self.paths.iter().any(|p| path_has_prefix(rel, p))
             && !self.allow_paths.iter().any(|p| path_has_prefix(rel, p))
-    }
-
-    /// String policy key.
-    #[must_use]
-    pub fn string(&self, key: &str) -> Option<&str> {
-        match self.extra.get(key) {
-            Some(Value::Str(s)) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Integer policy key.
-    #[must_use]
-    pub fn int(&self, key: &str) -> Option<u64> {
-        match self.extra.get(key) {
-            Some(Value::Int(v)) => Some(*v),
-            _ => None,
-        }
     }
 }
 
@@ -105,8 +81,8 @@ impl Config {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] on unreadable files or syntax outside the
-    /// supported subset.
+    /// Returns [`ConfigError`] on unreadable files, syntax outside the
+    /// supported subset, or an unknown section, rule id or key.
     pub fn load(path: &Path) -> Result<Self, ConfigError> {
         let text = std::fs::read_to_string(path).map_err(|e| ConfigError {
             line: 0,
@@ -119,14 +95,19 @@ impl Config {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] on syntax outside the supported subset.
+    /// Returns [`ConfigError`] on syntax outside the supported subset, or
+    /// an unknown section, rule id or key.
     pub fn parse(text: &str) -> Result<Self, ConfigError> {
         let mut cfg = Self::default();
-        let mut section: Vec<String> = Vec::new();
+        let mut section: Option<Section> = None;
         let lines: Vec<&str> = text.lines().collect();
         let mut i = 0;
         while i < lines.len() {
             let lineno = i + 1;
+            let at = |message: String| ConfigError {
+                line: lineno,
+                message,
+            };
             let mut line = strip_comment(lines[i]).trim().to_string();
             i += 1;
             if line.is_empty() {
@@ -145,59 +126,61 @@ impl Config {
             }
             let line = line.as_str();
             if let Some(h) = line.strip_prefix('[') {
-                let h = h.strip_suffix(']').ok_or_else(|| ConfigError {
-                    line: lineno,
-                    message: "unterminated section header".into(),
-                })?;
-                section = h.split('.').map(|s| s.trim().to_string()).collect();
+                let h = h
+                    .strip_suffix(']')
+                    .ok_or_else(|| at("unterminated section header".into()))?;
+                section = Some(Section::parse(h).map_err(at)?);
                 continue;
             }
-            let (key, val) = line.split_once('=').ok_or_else(|| ConfigError {
-                line: lineno,
-                message: format!("expected `key = value`, got `{line}`"),
-            })?;
-            let key = key.trim().to_string();
-            let value = parse_value(val.trim(), lineno)?;
-            cfg.assign(&section, key, value, lineno)?;
+            let (key, val) = line
+                .split_once('=')
+                .ok_or_else(|| at(format!("expected `key = value`, got `{line}`")))?;
+            let value = parse_list(val.trim()).map_err(at)?;
+            *cfg.slot(section.as_ref(), key.trim()).map_err(at)? = value;
         }
         Ok(cfg)
     }
 
-    fn assign(
-        &mut self,
-        section: &[String],
-        key: String,
-        value: Value,
-        line: usize,
-    ) -> Result<(), ConfigError> {
-        match section {
-            [w] if w == "workspace" => {
-                if key == "exclude" {
-                    if let Value::List(v) = value {
-                        self.exclude = v;
-                        return Ok(());
-                    }
-                }
-                Err(ConfigError {
-                    line,
-                    message: format!("unsupported [workspace] key `{key}`"),
-                })
+    /// The list that `key` sets in `section`.
+    fn slot(&mut self, section: Option<&Section>, key: &str) -> Result<&mut Vec<String>, String> {
+        match (section, key) {
+            (Some(Section::Workspace), "exclude") => Ok(&mut self.exclude),
+            (Some(Section::Rule(rule)), "paths") => {
+                Ok(&mut self.rules.entry(rule.clone()).or_default().paths)
             }
-            [r, rule] if r == "rules" => {
-                let policy = self.rules.entry(rule.clone()).or_default();
-                match (key.as_str(), value) {
-                    ("paths", Value::List(v)) => policy.paths = v,
-                    ("allow_paths", Value::List(v)) => policy.allow_paths = v,
-                    (_, v) => {
-                        policy.extra.insert(key, v);
-                    }
-                }
-                Ok(())
+            (Some(Section::Rule(rule)), "allow_paths") => {
+                Ok(&mut self.rules.entry(rule.clone()).or_default().allow_paths)
             }
-            _ => Err(ConfigError {
-                line,
-                message: format!("unsupported section [{}]", section.join(".")),
-            }),
+            (Some(Section::Workspace), _) => Err(format!(
+                "unknown [workspace] key `{key}` (expected `exclude`)"
+            )),
+            (Some(Section::Rule(rule)), _) => Err(format!(
+                "unknown [rules.{rule}] key `{key}` (expected `paths` or `allow_paths`)"
+            )),
+            (None, _) => Err(format!("key `{key}` outside any section")),
+        }
+    }
+}
+
+/// A `[...]` table of the policy file.
+enum Section {
+    Workspace,
+    Rule(String),
+}
+
+impl Section {
+    /// Parses a header's name: `workspace` or `rules.<id>` with `<id>` in
+    /// [`ALL_RULES`].
+    fn parse(name: &str) -> Result<Self, String> {
+        let parts: Vec<&str> = name.split('.').map(str::trim).collect();
+        match parts.as_slice() {
+            ["workspace"] => Ok(Self::Workspace),
+            ["rules", rule] if ALL_RULES.contains(rule) => Ok(Self::Rule((*rule).to_string())),
+            ["rules", rule] => Err(format!(
+                "unknown rule `{rule}` (known: {})",
+                ALL_RULES.join(", ")
+            )),
+            _ => Err(format!("unsupported section [{name}]")),
         }
     }
 }
@@ -231,41 +214,24 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-fn parse_value(v: &str, line: usize) -> Result<Value, ConfigError> {
-    if let Some(inner) = v.strip_prefix('[') {
-        let inner = inner.strip_suffix(']').ok_or_else(|| ConfigError {
-            line,
-            message: "arrays must close on the same line".into(),
-        })?;
-        let mut items = Vec::new();
-        for part in split_top_level(inner) {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            match parse_value(part, line)? {
-                Value::Str(s) => items.push(s),
-                _ => {
-                    return Err(ConfigError {
-                        line,
-                        message: "arrays may only contain strings".into(),
-                    })
-                }
-            }
-        }
-        return Ok(Value::List(items));
-    }
-    if let Some(s) = v.strip_prefix('"') {
-        let s = s.strip_suffix('"').ok_or_else(|| ConfigError {
-            line,
-            message: "unterminated string".into(),
-        })?;
-        return Ok(Value::Str(s.to_string()));
-    }
-    v.parse::<u64>().map(Value::Int).map_err(|_| ConfigError {
-        line,
-        message: format!("unsupported value `{v}`"),
-    })
+/// Parses `["a", "b"]`, the one kind of value the policy uses.
+fn parse_list(v: &str) -> Result<Vec<String>, String> {
+    let inner = v
+        .strip_prefix('[')
+        .ok_or_else(|| format!("expected an array of strings, got `{v}`"))?
+        .strip_suffix(']')
+        .ok_or_else(|| "unterminated array".to_string())?;
+    split_top_level(inner)
+        .into_iter()
+        .map(str::trim)
+        .filter(|part| !part.is_empty())
+        .map(|part| {
+            part.strip_prefix('"')
+                .and_then(|s| s.strip_suffix('"'))
+                .map(String::from)
+                .ok_or_else(|| format!("arrays may only contain strings, got `{part}`"))
+        })
+        .collect()
 }
 
 /// Splits an array body on commas that are outside quotes.
@@ -302,10 +268,6 @@ exclude = ["target", "tools/nga-lint/tests/fixtures"]
 [rules.no-host-float]
 paths = ["crates/core/src", "crates/softfloat/src"]
 allow_paths = ["crates/softfloat/src/value.rs"]
-
-[rules.kernel-consistency]
-dispatch_file = "crates/kernels/src/kernel.rs"
-code_bits = 8
 "#,
         )
         .expect("parses");
@@ -316,22 +278,15 @@ code_bits = 8
         assert!(r1.applies_to("crates/softfloat/src/arith.rs"));
         assert!(!r1.applies_to("crates/softfloat/src/value.rs"));
         assert!(!r1.applies_to("crates/nn/src/layers.rs"));
-        assert_eq!(
-            cfg.rule("kernel-consistency").string("dispatch_file"),
-            Some("crates/kernels/src/kernel.rs")
-        );
-        assert_eq!(cfg.rule("kernel-consistency").int("code_bits"), Some(8));
     }
 
     #[test]
     fn multi_line_arrays_with_comments() {
         let cfg = Config::parse(
-            "[rules.no-host-float]\npaths = [\n    \"a/b\",  # first\n    \"c/d\",\n]\ncode_bits = 8\n",
+            "[rules.no-host-float]\npaths = [\n    \"a/b\",  # first\n    \"c/d\",\n]\n",
         )
         .expect("parses");
-        let p = cfg.rule("no-host-float");
-        assert_eq!(p.paths, ["a/b", "c/d"]);
-        assert_eq!(p.int("code_bits"), Some(8));
+        assert_eq!(cfg.rule("no-host-float").paths, ["a/b", "c/d"]);
     }
 
     #[test]
@@ -341,10 +296,31 @@ code_bits = 8
         assert!(path_has_prefix("crates/core", "crates/core"));
     }
 
+    #[track_caller]
+    fn error_line(text: &str) -> usize {
+        match Config::parse(text) {
+            Ok(cfg) => panic!("accepted {text:?} as {cfg:?}"),
+            Err(e) => e.line,
+        }
+    }
+
     #[test]
     fn rejects_bad_syntax() {
-        assert!(Config::parse("[workspace\n").is_err());
-        assert!(Config::parse("[workspace]\nexclude = [\"a\"\n").is_err());
-        assert!(Config::parse("key_without_section = 1\n").is_err());
+        assert_eq!(error_line("[workspace\n"), 1);
+        assert_eq!(error_line("[workspace]\nexclude = [\"a\"\n"), 2);
+        assert_eq!(error_line("key_without_section = [\"a\"]\n"), 1);
+        assert_eq!(error_line("[workspace]\nexclude = [\"a\", 3]\n"), 2);
+        // A misspelt rule id, key or value type would leave a rule with
+        // no paths, and so scanning nothing.
+        assert_eq!(error_line("[workspace]\n\n[rules.no-host-flaot]\n"), 3);
+        assert_eq!(error_line("[rules.no-host-float]\npath = [\"a\"]\n"), 2);
+        assert_eq!(
+            error_line("[rules.no-host-float]\n# one\npaths = \"a\"\n"),
+            3
+        );
+        assert_eq!(
+            error_line("[rules.no-host-float]\npaths = [\"a\"]\ncode_bits = 8\n"),
+            3
+        );
     }
 }

@@ -20,19 +20,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              `// lint: allow-start(no-host-float): <why this is a conversion boundary>`\n\
              … `// lint: allow-end(no-host-float)`.",
         ),
-        rules::KERNEL_CONSISTENCY => Some(
-            "kernel-consistency (R4)\n\
-             =======================\n\
-             Cross-file structural checks for the kernels crate:\n\
-             * `KernelTier::ALL` must list every tier variant, and the equivalence-test\n\
-               suite must name `KernelTier::ALL` or each variant (an untested tier is a\n\
-               silent correctness hole; the compiler already checks that every dispatch\n\
-               `match` covers each variant);\n\
-             * `Format8::ALL` must list every format variant (the per-format LUT\n\
-               caches take their length from it, so rustc sizes them);\n\
-             * LUT entry arrays must hold `(1 << code_bits)²` entries — the exhaustive\n\
-               size implied by 8-bit codes (65 536).",
-        ),
         rules::LINT_ANNOTATION => Some(
             "lint-annotation\n\
              ===============\n\
@@ -59,5 +46,6 @@ mod tests {
             assert!(explain(rule).is_some(), "missing --explain text for {rule}");
         }
         assert!(explain("bogus").is_none());
+        assert_eq!(rules::ALL_RULES, ["no-host-float", "lint-annotation"]);
     }
 }

@@ -337,26 +337,6 @@ fn number(cur: &mut Cursor, out: &mut Lexed, src: &str) {
     push_tok(out, cur, kind, text, line);
 }
 
-/// Parses an integer literal token's value (handles `_`, hex/oct/bin
-/// prefixes and type suffixes). Returns `None` for non-integers.
-#[must_use]
-pub fn int_value(text: &str) -> Option<u128> {
-    let t: String = text.chars().filter(|&c| c != '_').collect();
-    let (digits, radix) = if let Some(h) = t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
-        (h, 16)
-    } else if let Some(b) = t.strip_prefix("0b").or_else(|| t.strip_prefix("0B")) {
-        (b, 2)
-    } else if let Some(o) = t.strip_prefix("0o").or_else(|| t.strip_prefix("0O")) {
-        (o, 8)
-    } else {
-        (t.as_str(), 10)
-    };
-    let end = digits
-        .find(|c: char| !c.is_digit(radix))
-        .unwrap_or(digits.len());
-    u128::from_str_radix(&digits[..end], radix).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,14 +400,5 @@ mod tests {
         let l = lex("/* outer /* inner */ still */ fn f() {}");
         assert_eq!(l.comments.len(), 1);
         assert_eq!(l.toks[0].text, "fn");
-    }
-
-    #[test]
-    fn int_values_parse_all_bases() {
-        assert_eq!(int_value("65536"), Some(65536));
-        assert_eq!(int_value("65_536"), Some(65536));
-        assert_eq!(int_value("0x10000"), Some(65536));
-        assert_eq!(int_value("0b100"), Some(4));
-        assert_eq!(int_value("12usize"), Some(12));
     }
 }

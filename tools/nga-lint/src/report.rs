@@ -6,7 +6,7 @@ use std::fmt;
 /// One lint violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id (`no-host-float`, `kernel-consistency`, …).
+    /// Rule id (`no-host-float` or `lint-annotation`).
     pub rule: &'static str,
     /// Workspace-relative path.
     pub path: String,
@@ -125,10 +125,10 @@ mod tests {
         let mut r = LintResult {
             findings: vec![
                 Finding {
-                    rule: "kernel-consistency",
+                    rule: "lint-annotation",
                     path: "b.rs".into(),
                     line: 2,
-                    message: "`KernelTier::ALL` omits `Rogue`".into(),
+                    message: "unknown rule `no-such-rule` in lint annotation".into(),
                 },
                 Finding {
                     rule: "no-host-float",
@@ -144,7 +144,7 @@ mod tests {
         let j = r.to_json();
         assert!(j.contains("\"status\": \"findings\""));
         assert!(j.contains("\\\"1.5\\\""));
-        assert!(j.contains("\"kernel-consistency\": 1"));
+        assert!(j.contains("\"lint-annotation\": 1"));
     }
 
     #[test]

@@ -12,13 +12,11 @@ use crate::report::Finding;
 
 /// R1: host-FPU types, casts and float literals in bit-exact cores.
 pub const NO_HOST_FLOAT: &str = "no-host-float";
-/// R4: kernel registration / LUT-shape cross-file consistency.
-pub const KERNEL_CONSISTENCY: &str = "kernel-consistency";
 /// Malformed or reason-less `// lint:` annotations.
 pub const LINT_ANNOTATION: &str = "lint-annotation";
 
 /// Every rule id (the `--explain` index).
-pub const ALL_RULES: &[&str] = &[NO_HOST_FLOAT, KERNEL_CONSISTENCY, LINT_ANNOTATION];
+pub const ALL_RULES: &[&str] = &[NO_HOST_FLOAT, LINT_ANNOTATION];
 
 /// A lexed file plus the line classifications rules consult.
 pub struct FileContext {

@@ -96,31 +96,6 @@ fn reasoned_waiver_suppresses_and_reasonless_waiver_is_itself_flagged() {
 }
 
 #[test]
-fn tier_all_omitting_a_variant_is_flagged() {
-    // `KernelTier::ALL` on line 9 lists `Good` but not `Rogue`.
-    assert_fires("kernel-consistency", "crates/kernels/src/kernel.rs", 9);
-    // The fixture suite names `Good` but neither `KernelTier::ALL` nor
-    // `Rogue`.
-    assert!(
-        fixture_findings().iter().any(|f| f.rule == "kernel-consistency"
-            && f.path == "crates/kernels/tests/equivalence.rs"
-            && f.message.contains("`Rogue`")
-            && !f.message.contains("`Good`")),
-        "a tier missing from the equivalence suite must be flagged"
-    );
-    // The fixture's `Format8` enum has a complete `ALL`.
-    assert_silent("kernel-consistency", "crates/kernels/src/format8.rs");
-}
-
-#[test]
-fn wrong_lut_size_is_flagged() {
-    // `[u8; 64]` on line 8 disagrees with 2-bit codes (16 entries); the
-    // `[u8; 16]` table on line 4 is right.
-    assert_fires("kernel-consistency", "crates/kernels/src/table.rs", 8);
-    assert_silent_at("crates/kernels/src/table.rs", 4);
-}
-
-#[test]
 fn real_workspace_lints_clean() {
     let root = workspace_root();
     let cfg = Config::load(&root.join("lint.toml")).expect("workspace policy parses");
