@@ -270,14 +270,63 @@ mod tests {
         }
     }
 
+    /// The largest sum of the partial products an 8×8 array places in
+    /// result columns below `k`: all that truncating those columns, or
+    /// OR-ing instead of adding them, can take off the product.
+    fn low_columns_weight(k: u32) -> u32 {
+        let columns = (0..8).flat_map(|i| (0..8).map(move |j| i + j));
+        columns.filter(|&w| w < k).map(|w| 1 << w).sum()
+    }
+
+    /// The 8 lowest-weight partial products `BrokenArray8` omits:
+    /// columns 0–2 whole (1 + 2 + 3 products) and two of column 3.
+    const BROKEN8_MAX_LOSS: u32 = 1 + 2 * 2 + 3 * 4 + 2 * 8;
+
+    /// Whether `got` for the exact product `exact` is within what `m`'s
+    /// construction allows.
+    fn within_bound(m: ApproxMultiplier, exact: u32, got: u32) -> bool {
+        use ApproxMultiplier as M;
+        // Dropping, truncating or OR-ing partial products never adds to
+        // the product, and loses at most their weight.
+        let under = |max_loss: u32| got <= exact && exact - got <= max_loss;
+        // DRUM-k moves each operand by at most 2^(1-k) of itself (the
+        // cut tail below its `k` kept bits, replaced by the unbiasing 1),
+        // so the product moves by at most (1 + 2^(1-k))² − 1
+        // = (2^k + 1)·2^(2-2k) of itself.
+        let drum = |k: u32| {
+            u64::from(got.abs_diff(exact)) << (2 * k - 2) <= ((1u64 << k) + 1) * u64::from(exact)
+        };
+        match m {
+            M::Exact => got == exact,
+            // The one partial product a0·b0, of weight 1.
+            M::DropLsb => under(1),
+            M::Trunc3 => under(low_columns_weight(3)),
+            M::Trunc5 => under(low_columns_weight(5)),
+            M::Trunc8 => under(low_columns_weight(8)),
+            M::Trunc9 => under(low_columns_weight(9)),
+            M::Loa6 => under(low_columns_weight(6)),
+            M::BrokenArray8 => under(BROKEN8_MAX_LOSS),
+            M::Drum5 => drum(5),
+            M::Drum4 => drum(4),
+            M::Drum3 => drum(3),
+            // Mitchell's piecewise-linear antilog is at least 8/9 of the
+            // product (the worst case is both mantissas at 1.5), and the
+            // final truncation to an integer loses less than 1 more.
+            M::Mitchell => got <= exact && 9 * (exact - got) < exact + 9,
+        }
+    }
+
     #[test]
-    fn all_multipliers_are_deterministic_and_bounded() {
+    fn every_multiplier_is_within_its_constructed_bound_exhaustively() {
         for m in ApproxMultiplier::ALL {
-            for a in (0..=255u16).step_by(7) {
-                for b in (0..=255u16).step_by(11) {
-                    let r1 = m.multiply(a as u8, b as u8);
-                    let r2 = m.multiply(a as u8, b as u8);
-                    assert_eq!(r1, r2, "{m} deterministic");
+            for a in 0..=255u8 {
+                for b in 0..=255u8 {
+                    let exact = u32::from(a) * u32::from(b);
+                    let got = u32::from(m.multiply(a, b));
+                    assert!(
+                        within_bound(m, exact, got),
+                        "{m}: {a}*{b} = {got}, exact {exact}"
+                    );
                 }
             }
         }

@@ -14,13 +14,17 @@
 //! of resnet_mini and ResNet20, each with the Mitchell and the exact
 //! multiplier.
 //!
-//! Prints a markdown table by default; `--json` additionally writes
+//! The `micro` section times the software throughput of each arithmetic
+//! system in ns per iteration: the §V and §II-D ablations (posit decode
+//! in two's complement against a sign-magnitude re-encode, Wallace 3:2
+//! against ALM 6:3 compression, quire against per-step rounding), posit16
+//! ops, the soft IEEE formats, Q8.8 fixed point, the approximate
+//! multipliers and bit-heap compression.
+//!
+//! Every case runs through one timing loop, [`time_call`]. Prints
+//! markdown tables by default; `--json` additionally writes
 //! `BENCH_kernels.json` (machine-readable, checked into the repo so the
 //! README's Performance section has provenance).
-//!
-//! `--tier=scalar|parallel` selects the context tier reported in the
-//! header (the A/B columns always measure both tiers); without it the
-//! context runs the default tier, `parallel`.
 //!
 //! Environment: `NGA_BENCH_MS` sets the per-case measurement window
 //! (default 300 ms), `NGA_THREADS` caps the parallel tier's workers.
@@ -31,10 +35,14 @@
     reason = "a benchmark times its cases and reads its flags and window"
 )]
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use nga_approx::ApproxMultiplier;
 use nga_bench::{banner, print_table};
+use nga_bitheap::{compress::compress, BitHeap, Netlist, Strategy};
+use nga_core::{Posit, PositFormat, Quire};
+use nga_fixed::{Fixed, FixedFormat, OverflowMode, RoundingMode};
 use nga_kernels::{
     conv2d_f32, im2col, matmul8_parallel, matmul8_scalar, matmul_f32, matmul_f32_parallel,
     num_threads, ArithCtx, Format8, KernelTier, LutOp,
@@ -43,6 +51,7 @@ use nga_nn::layers::{Conv2d, Layer, Network};
 use nga_nn::models::{kws_mini, resnet20, resnet_mini};
 use nga_nn::quant::QuantizedNetwork;
 use nga_nn::Tensor;
+use nga_softfloat::{FloatFormat, SoftFloat, SubnormalMode};
 
 /// The per-case measurement window in ms: `NGA_BENCH_MS`, default 300,
 /// at least 10.
@@ -113,7 +122,7 @@ fn bench_format(fmt: Format8, m: usize, k: usize, n: usize) -> Row {
     let mut out = vec![0u8; m * n];
     let scalar = time_call(|| matmul8_scalar(fmt, &a, &b, &mut out, m, k, n));
     let parallel = time_call(|| matmul8_parallel(&op, &a, &b, &mut out, m, k, n));
-    std::hint::black_box(&out);
+    black_box(&out);
     Row {
         label: format!("matmul8[{}] {m}x{k}x{n}", fmt.id()),
         macs: (m * k * n) as u64,
@@ -131,7 +140,7 @@ fn bench_ctx_format(fmt: Format8, m: usize, k: usize, n: usize) -> Row {
     let mut time_tier = |tier: KernelTier| {
         let mut ctx = ArithCtx::labeled("bench:ctx").with_tier(tier);
         time_call(|| {
-            std::hint::black_box(ctx.matmul8(fmt, &a, &b, &mut out, m, k, n));
+            black_box(ctx.matmul8(fmt, &a, &b, &mut out, m, k, n));
         })
     };
     Row {
@@ -161,16 +170,16 @@ fn bench_ctx_scalar(fmt: Format8) -> ScalarRow {
         let mut ctx = ArithCtx::labeled("bench:ctx").with_tier(tier);
         per_op(time_call(|| {
             for &(a, b) in &pairs {
-                std::hint::black_box(ctx.mul(fmt, a, b));
-                std::hint::black_box(ctx.add(fmt, a, b));
+                black_box(ctx.mul(fmt, a, b));
+                black_box(ctx.add(fmt, a, b));
             }
         }))
     };
     let op = LutOp::new(fmt);
     let lut = per_op(time_call(|| {
         for &(a, b) in &pairs {
-            std::hint::black_box(op.mul(a, b));
-            std::hint::black_box(op.add(a, b));
+            black_box(op.mul(a, b));
+            black_box(op.add(a, b));
         }
     }));
     ScalarRow {
@@ -189,7 +198,7 @@ fn bench_f32(m: usize, k: usize, n: usize) -> Row {
     let mut out = vec![0.0f32; m * n];
     let serial = time_call(|| matmul_f32(&a, &b, &mut out, m, k, n));
     let parallel = time_call(|| matmul_f32_parallel(&a, &b, &mut out, m, k, n));
-    std::hint::black_box(&out);
+    black_box(&out);
     Row {
         label: format!("matmul_f32 {m}x{k}x{n}"),
         macs: (m * k * n) as u64,
@@ -248,7 +257,7 @@ fn bench_conv_f32(
             &input, ch, h, w, &weights, &bias, oc, k, k, stride, pad, &mut out,
         );
     });
-    std::hint::black_box((&out, &gemm_out));
+    black_box((&out, &gemm_out));
     let macs = (oc * kdim * npix) as u64;
     ConvRow {
         label: format!("conv2d_f32 {ch}x{h}x{w}->{oc} {k}x{k} s{stride} p{pad}"),
@@ -289,7 +298,7 @@ fn bench_qnet(label: String, net: &Network, in_shape: &[usize]) -> QRow {
         ops: QMULTS.map(|m| {
             macs as f64
                 / time_call(|| {
-                    std::hint::black_box(q.forward(&x, m));
+                    black_box(q.forward(&x, m));
                 })
         }),
     }
@@ -355,6 +364,229 @@ fn bench_qforward() -> Vec<QRow> {
     rows
 }
 
+/// One `micro` case: its name and the closure [`time_call`] runs.
+type Micro = (String, Box<dyn Fn()>);
+
+/// A `micro` case whose result goes through `black_box`, so the work
+/// producing it cannot be optimised away.
+fn case<R>(name: impl Into<String>, f: impl Fn() -> R + 'static) -> Micro {
+    (
+        name.into(),
+        Box::new(move || {
+            black_box(f());
+        }),
+    )
+}
+
+/// A case's fixed inputs, alive for the whole run.
+fn inputs<T>(it: impl Iterator<Item = T>) -> &'static [T] {
+    Vec::leak(it.collect())
+}
+
+const P16: PositFormat = PositFormat::POSIT16;
+
+/// Sign-magnitude decode: negate first (a full two's-complement
+/// carry-propagate on the encoding), decode the positive twin, negate the
+/// value back — the "familiar bit parcels" detour of §V.
+fn decode_sign_magnitude(bits: u64, fmt: PositFormat) -> f64 {
+    let neg = bits >> (fmt.n() - 1) == 1;
+    let mag = if neg {
+        bits.wrapping_neg() & fmt.bits_mask()
+    } else {
+        bits
+    };
+    let v = Posit::from_bits(mag, fmt).to_f64();
+    if neg {
+        -v
+    } else {
+        v
+    }
+}
+
+/// `Σ v[i]·v[i+1]` accumulated exactly in a quire, rounded once.
+fn quire_dot(v: &[Posit]) -> Posit {
+    let mut q = Quire::new(P16);
+    for w in v.windows(2) {
+        q.add_product(black_box(w[0]), black_box(w[1]));
+    }
+    q.to_posit()
+}
+
+/// The same sum, rounded after every multiply and every add.
+fn rounded_dot(v: &[Posit]) -> Posit {
+    v.windows(2).fold(Posit::zero(P16), |acc, w| {
+        acc.add(black_box(w[0]).mul(black_box(w[1])))
+    })
+}
+
+/// ALMs after compressing a heap built by `build` with `strategy`.
+fn compress_heap(strategy: Strategy, build: impl Fn(&mut Netlist) -> BitHeap) -> u32 {
+    let mut net = Netlist::new();
+    let heap = build(&mut net);
+    compress(&mut net, &heap, strategy).stats.cost.alms
+}
+
+/// Every `micro` case, in table order: the §V and §II-D ablations, then
+/// the software throughput of each arithmetic system.
+fn micro_cases() -> Vec<Micro> {
+    let codes = inputs((1..1024u64).map(|i| (i * 63) & 0xFFFF));
+    let dot = inputs((0..128u64).map(|i| Posit::from_bits((i * 509) & 0x7FFF, P16)));
+    let p16 = inputs(
+        (0..256u64)
+            .map(|i| Posit::from_bits((i * 257) & 0xFFFF, P16))
+            .filter(|p| !p.is_nar()),
+    );
+    let q8_8 = FixedFormat::signed(8, 8).expect("Q8.8 is a valid format");
+    let q8_4 = FixedFormat::signed(8, 4).expect("Q8.4 is a valid format");
+    let fixed = inputs(
+        (0..256i128).map(|i| Fixed::from_raw((i * 193) % 0x7FFF - 0x4000, q8_8).expect("in range")),
+    );
+    let mut cases = vec![
+        case("ablations/posit_decode/twos_complement_direct", move || {
+            codes
+                .iter()
+                .map(|&e| Posit::from_bits(black_box(e), P16).to_f64())
+                .sum::<f64>()
+        }),
+        case(
+            "ablations/posit_decode/sign_magnitude_reencode",
+            move || {
+                codes
+                    .iter()
+                    .map(|&e| decode_sign_magnitude(black_box(e), P16))
+                    .sum::<f64>()
+            },
+        ),
+    ];
+    // Wallace 3:2 against ALM 6:3 on an 8-term 6×6-bit dot-product heap.
+    for strategy in [Strategy::GreedyWallace, Strategy::AlmSixThree] {
+        cases.push(case(
+            format!("ablations/compress_dot_product/{strategy:?}"),
+            move || {
+                compress_heap(strategy, |net| {
+                    let pairs: Vec<_> = (0..8)
+                        .map(|_| (net.add_inputs(6), net.add_inputs(6)))
+                        .collect();
+                    BitHeap::dot_product(net, &pairs)
+                })
+            },
+        ));
+    }
+    cases.extend([
+        case("ablations/dot_product/quire_exact", move || quire_dot(dot)),
+        case("ablations/dot_product/rounded_each_step", move || {
+            rounded_dot(dot)
+        }),
+        case("posit16/mul_add_chain", move || rounded_dot(p16)),
+        case("posit16/div_chain", move || {
+            let nonzero = p16.iter().filter(|p| !p.is_zero());
+            nonzero.fold(Posit::one(P16), |acc, &p| acc.div(black_box(p)))
+        }),
+        case("posit16/sqrt_sweep", move || {
+            p16.iter().fold(0u64, |acc, p| acc ^ p.abs().sqrt().bits())
+        }),
+        case("posit16/decode_encode_round_trip", move || {
+            p16.iter().fold(0u64, |acc, &p| {
+                acc ^ Posit::from_f64(black_box(p).to_f64(), P16).bits()
+            })
+        }),
+        // §V: a posit compare is the integer compare.
+        case("posit16/compare_is_integer_compare", move || {
+            p16.windows(2)
+                .filter(|w| black_box(w[0]) < black_box(w[1]))
+                .count()
+        }),
+        case("posit16/quire_dot_product_255", move || quire_dot(p16)),
+    ]);
+    // binary16 against bfloat16, fp19 and binary16 flushing subnormals
+    // (the "normals only" hardware §V says posits should be compared
+    // against).
+    for (name, fmt) in [
+        ("binary16", FloatFormat::BINARY16),
+        (
+            "binary16_ftz",
+            FloatFormat::BINARY16.with_subnormal_mode(SubnormalMode::FlushToZero),
+        ),
+        ("bfloat16", FloatFormat::BFLOAT16),
+        ("fp19", FloatFormat::FP19),
+    ] {
+        let v = inputs(
+            (0..256u64)
+                .map(|i| SoftFloat::from_bits((i * 193) & fmt.bits_mask() & 0x7FFF, fmt))
+                .filter(|f| !f.is_nan()),
+        );
+        cases.push(case(format!("softfloat/{name}/mul_add_chain"), move || {
+            v.windows(2).fold(SoftFloat::zero(fmt), |acc, w| {
+                acc.add(black_box(w[0]).mul(black_box(w[1])))
+            })
+        }));
+        cases.push(case(format!("softfloat/{name}/fma_chain"), move || {
+            v.windows(2).fold(SoftFloat::zero(fmt), |acc, w| {
+                black_box(w[0]).fma(black_box(w[1]), acc)
+            })
+        }));
+    }
+    // Q8.8, the baseline §V calls "the simplest and fastest format".
+    cases.extend([
+        case("fixed_q8_8/mac_chain_exact", move || {
+            let products = fixed.windows(2).map(|w| {
+                let p = black_box(w[0]).mul_exact(&black_box(w[1]));
+                p.expect("a Q8.8 product fits").raw()
+            });
+            products.sum::<i128>()
+        }),
+        case("fixed_q8_8/saturating_add_chain", move || {
+            fixed.iter().fold(Fixed::zero(q8_8), |acc, &x| {
+                acc.checked_add(black_box(x)).expect("same format")
+            })
+        }),
+        case("fixed_q8_8/requantize_nearest_even", move || {
+            fixed.iter().fold(0i128, |acc, x| {
+                let q = x.convert(q8_4, RoundingMode::NearestEven, OverflowMode::Saturate);
+                acc ^ q.expect("saturating").raw()
+            })
+        }),
+    ]);
+    // Behavioural multiplier simulation, what bounds ProxSim-style
+    // retraining: all 65,536 operand pairs.
+    for m in [
+        ApproxMultiplier::Exact,
+        ApproxMultiplier::DropLsb,
+        ApproxMultiplier::Mitchell,
+        ApproxMultiplier::Drum4,
+        ApproxMultiplier::Trunc8,
+    ] {
+        cases.push(case(
+            format!("approx_mult/{}/64k_products", m.id()),
+            move || {
+                let mut acc = 0u32;
+                for a in 0..=255u8 {
+                    for b in 0..=255u8 {
+                        acc = acc.wrapping_add(u32::from(m.multiply(black_box(a), black_box(b))));
+                    }
+                }
+                acc
+            },
+        ));
+    }
+    // Generator run time, the "reasonable run-time" constraint §II-C
+    // places on cost/error evaluation.
+    for w in [8, 12, 16] {
+        for strategy in [Strategy::GreedyWallace, Strategy::AlmSixThree] {
+            cases.push(case(
+                format!("bitheap_compress/{w}x{w}/{strategy:?}"),
+                move || {
+                    compress_heap(strategy, |net| {
+                        let (a, b) = (net.add_inputs(w), net.add_inputs(w));
+                        BitHeap::multiplier(net, &a, &b)
+                    })
+                },
+            ));
+        }
+    }
+    cases
+}
+
 fn fmt_ops(ops: f64) -> String {
     if ops >= 1e9 {
         format!("{:.2} G", ops / 1e9)
@@ -367,26 +599,12 @@ fn fmt_ops(ops: f64) -> String {
 
 fn main() {
     let json = std::env::args().any(|a| a == "--json");
-    // The header reports the tier the context actually runs.
-    let mut ctx = ArithCtx::labeled("bench:kernels");
-    for arg in std::env::args() {
-        if let Some(t) = arg.strip_prefix("--tier=") {
-            match KernelTier::parse(t) {
-                Some(tier) => ctx = ctx.with_tier(tier),
-                None => {
-                    eprintln!("unknown tier {t:?} (expected scalar|parallel)");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
     banner("Kernel tiers — scalar vs parallel (table lookups in row bands)");
     println!(
-        "worker threads: {}, nproc: {}, window: {} ms, context tier: {}\n",
+        "worker threads: {}, nproc: {}, window: {} ms\n",
         num_threads(),
         nproc(),
         window_ms(),
-        ctx.tier()
     );
 
     let (m, k, n) = (48, 64, 48);
@@ -403,6 +621,10 @@ fn main() {
     let conv_rows: Vec<ConvRow> = CONV_F32_SHAPES.into_iter().map(bench_conv_f32).collect();
     let scalar_rows: Vec<ScalarRow> = Format8::ALL.into_iter().map(bench_ctx_scalar).collect();
     let qrows = bench_qforward();
+    let micro: Vec<(String, f64)> = micro_cases()
+        .into_iter()
+        .map(|(name, f)| (name, time_call(f) * 1e9))
+        .collect();
 
     let table_rows: Vec<Vec<String>> = rows
         .iter()
@@ -464,6 +686,15 @@ fn main() {
                 cells.extend(r.ops.iter().map(|&o| format!("{}MAC/s", fmt_ops(o))));
                 cells
             })
+            .collect::<Vec<_>>(),
+    );
+
+    println!();
+    print_table(
+        &["micro", "ns/iter"],
+        &micro
+            .iter()
+            .map(|(name, ns)| vec![name.clone(), format!("{ns:.1}")])
             .collect::<Vec<_>>(),
     );
 
@@ -529,13 +760,18 @@ fn main() {
                 )
             })
             .collect();
+        let micro_entries: Vec<String> = micro
+            .iter()
+            .map(|(name, ns)| format!("    {{\"case\": \"{name}\", \"ns_per_iter\": {ns:.1}}}"))
+            .collect();
         let doc = format!(
             concat!(
                 "{{\n  \"bench\": \"kernels\",\n  \"nproc\": {},\n  \"threads\": {},\n",
                 "  \"window_ms\": {},\n",
                 "  \"cases\": [\n{}\n  ],\n  \"conv_f32\": [\n{}\n  ],\n",
                 "  \"ctx_scalar\": [\n{}\n  ],\n",
-                "  \"qforward\": [\n{}\n  ]\n}}\n"
+                "  \"qforward\": [\n{}\n  ],\n",
+                "  \"micro\": [\n{}\n  ]\n}}\n"
             ),
             nproc(),
             num_threads(),
@@ -543,9 +779,33 @@ fn main() {
             entries.join(",\n"),
             conv_entries.join(",\n"),
             scalar_entries.join(",\n"),
-            q_entries.join(",\n")
+            q_entries.join(",\n"),
+            micro_entries.join(",\n")
         );
         std::fs::write("BENCH_kernels.json", &doc).expect("write BENCH_kernels.json");
         println!("\nwrote BENCH_kernels.json");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The two halves of the §V decode ablation compute the same value
+    /// for every posit16 code but NaR, so the pair times only the
+    /// re-encode's extra work.
+    #[test]
+    fn sign_magnitude_decode_matches_direct_decode() {
+        for bits in 0..=0xFFFFu64 {
+            let direct = Posit::from_bits(bits, P16);
+            if direct.is_nar() {
+                continue;
+            }
+            assert_eq!(
+                decode_sign_magnitude(bits, P16).to_bits(),
+                direct.to_f64().to_bits(),
+                "{bits:#06x}"
+            );
+        }
     }
 }

@@ -17,9 +17,9 @@
 //! | `fig9` | Fig. 9 — decimal accuracy vs magnitude |
 //! | `fig10` | Fig. 10 — decimal accuracy vs bit string |
 //!
-//! Criterion benches (`cargo bench -p nga-bench`) cover the software
-//! throughput of each arithmetic system plus the ablations DESIGN.md
-//! calls out.
+//! The `kernels` bin times the kernel tiers, and in its `micro` section
+//! the software throughput of each arithmetic system plus the ablations
+//! DESIGN.md calls out (`--json` writes `BENCH_kernels.json`).
 
 #![warn(missing_docs)]
 

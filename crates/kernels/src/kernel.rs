@@ -6,14 +6,12 @@ enum_with_all! {
     /// An execution tier as a first-class value: the one way to pick a
     /// kernel.
     ///
-    /// Construct one directly or [`parse`](Self::parse) it from a CLI
-    /// argument, then hand it to
+    /// Construct one directly, then hand it to
     /// [`ArithCtx::with_tier`](crate::ArithCtx::with_tier): the context is
     /// where a tier becomes a kernel.
     ///
     /// ```
     /// use nga_kernels::KernelTier;
-    /// assert_eq!(KernelTier::parse("scalar"), Some(KernelTier::Scalar));
     /// assert_eq!(KernelTier::Parallel.name(), "parallel");
     /// assert_eq!(KernelTier::default(), KernelTier::Parallel);
     /// ```
@@ -35,12 +33,6 @@ impl KernelTier {
             Self::Scalar => "scalar",
             Self::Parallel => "parallel",
         }
-    }
-
-    /// Parses a tier name (`"scalar"` / `"parallel"`).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|t| t.name() == s)
     }
 }
 

@@ -143,9 +143,9 @@ pub fn retrain_approx(
     // best checkpoint — including the starting point — by *static*
     // approximate loss (re-evaluated with frozen weights, not the moving
     // average seen during the epoch) and restore it at the end, as the
-    // usual retraining recipes do.
-    let static_loss = |net: &Network| -> f32 {
-        let qnet = QuantizedNetwork::from_float(net, &calib);
+    // usual retraining recipes do. Each quantization of the weights
+    // serves both the static loss and the next epoch's forward passes.
+    let static_loss = |qnet: &QuantizedNetwork| -> f32 {
         let mut total = 0.0;
         for i in 0..data.len() {
             let (x, label) = data.sample(i);
@@ -154,9 +154,9 @@ pub fn retrain_approx(
         }
         total / data.len() as f32
     };
-    let mut best: (f32, Network) = (static_loss(net), net.clone());
+    let mut qnet = QuantizedNetwork::from_float(net, &calib);
+    let mut best: (f32, Network) = (static_loss(&qnet), net.clone());
     for _ in 0..cfg.epochs {
-        let qnet = QuantizedNetwork::from_float(net, &calib);
         order.shuffle(&mut rng);
         let mut total = 0.0;
         for &i in &order {
@@ -176,7 +176,8 @@ pub fn retrain_approx(
                 net.step(cfg.lr, cfg.momentum);
             }
         }
-        let end_of_epoch = static_loss(net);
+        qnet = QuantizedNetwork::from_float(net, &calib);
+        let end_of_epoch = static_loss(&qnet);
         if end_of_epoch < best.0 {
             best = (end_of_epoch, net.clone());
         }

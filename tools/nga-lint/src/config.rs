@@ -13,16 +13,19 @@ use std::path::Path;
 
 use crate::rules::ALL_RULES;
 
-/// Config-file error with a line number.
+/// Config-file error with the file it was read from and a line number.
 #[derive(Debug, Clone)]
 pub struct ConfigError {
+    /// The path [`Config::load`] read, or `lint.toml` for text given to
+    /// [`Config::parse`].
+    pub file: String,
     pub line: usize,
     pub message: String,
 }
 
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "lint.toml:{}: {}", self.line, self.message)
+        write!(f, "{}:{}: {}", self.file, self.line, self.message)
     }
 }
 
@@ -84,11 +87,13 @@ impl Config {
     /// Returns [`ConfigError`] on unreadable files, syntax outside the
     /// supported subset, or an unknown section, rule id or key.
     pub fn load(path: &Path) -> Result<Self, ConfigError> {
+        let file = path.display().to_string();
         let text = std::fs::read_to_string(path).map_err(|e| ConfigError {
+            file: file.clone(),
             line: 0,
-            message: format!("cannot read {}: {e}", path.display()),
+            message: format!("cannot read: {e}"),
         })?;
-        Self::parse(&text)
+        Self::parse(&text).map_err(|e| ConfigError { file, ..e })
     }
 
     /// Parses policy text.
@@ -105,6 +110,7 @@ impl Config {
         while i < lines.len() {
             let lineno = i + 1;
             let at = |message: String| ConfigError {
+                file: "lint.toml".into(),
                 line: lineno,
                 message,
             };
@@ -115,9 +121,9 @@ impl Config {
             }
             // Multi-line arrays: keep consuming until the bracket closes.
             while line.contains('=')
-                && line.split_once('=').is_some_and(|(_, v)| {
-                    v.trim_start().starts_with('[') && !array_closed(v)
-                })
+                && line
+                    .split_once('=')
+                    .is_some_and(|(_, v)| v.trim_start().starts_with('[') && !array_closed(v))
             {
                 let Some(next) = lines.get(i) else { break };
                 line.push(' ');

@@ -119,6 +119,20 @@ fn real_workspace_lints_clean() {
     assert_eq!(result.files_scanned, want, "every R1 file scanned");
 }
 
+#[test]
+fn config_errors_name_the_file_that_was_loaded() {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("selftest-bad-policy.toml");
+    std::fs::write(&path, "[workspace]\n\n[rules.no-host-flaot]\n").expect("write policy");
+    let err = Config::load(&path).expect_err("unknown rule id");
+    assert_eq!(err.line, 3);
+    let shown = err.to_string();
+    assert!(
+        shown.starts_with(&format!("{}:3: ", path.display())),
+        "{shown}"
+    );
+    assert!(!shown.contains("lint.toml"), "{shown}");
+}
+
 /// `.rs` files at `path`: the file itself, or every one below a directory.
 fn count_rs(path: &Path) -> usize {
     if !path.is_dir() {
