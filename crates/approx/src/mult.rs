@@ -14,8 +14,7 @@ pub enum ApproxMultiplier {
     DropLsb,
     /// Truncated array: the 3 lowest result columns are not computed.
     Trunc3,
-    /// Truncated array: the 5 lowest result columns are not computed,
-    /// with a constant ½-weight compensation.
+    /// Truncated array: the 5 lowest result columns are not computed.
     Trunc5,
     /// Lower-part-OR adder multiplier: the low 6 columns are approximated
     /// by ORing partial products instead of adding them.
@@ -82,10 +81,10 @@ impl ApproxMultiplier {
                 // Remove partial product a0·b0 (weight 1).
                 a * b - (a & 1) * (b & 1)
             }
-            Self::Trunc3 => trunc_columns(a, b, 3, 0),
-            Self::Trunc5 => trunc_columns(a, b, 5, 0),
-            Self::Trunc8 => trunc_columns(a, b, 8, 0),
-            Self::Trunc9 => trunc_columns(a, b, 9, 0),
+            Self::Trunc3 => trunc_columns(a, b, 3),
+            Self::Trunc5 => trunc_columns(a, b, 5),
+            Self::Trunc8 => trunc_columns(a, b, 8),
+            Self::Trunc9 => trunc_columns(a, b, 9),
             Self::Loa6 => loa(a, b, 6),
             Self::Drum5 => drum(a, b, 5),
             Self::Drum4 => drum(a, b, 4),
@@ -146,8 +145,8 @@ impl fmt::Display for ApproxMultiplier {
 }
 
 /// Truncated multiplier: partial products landing in columns below `k`
-/// are never generated; `compensation` is added to offset the average.
-fn trunc_columns(a: u32, b: u32, k: u32, compensation: u32) -> u32 {
+/// are never generated, and nothing compensates for them.
+fn trunc_columns(a: u32, b: u32, k: u32) -> u32 {
     let mut sum = 0u32;
     for i in 0..8 {
         for j in 0..8 {
@@ -156,7 +155,7 @@ fn trunc_columns(a: u32, b: u32, k: u32, compensation: u32) -> u32 {
             }
         }
     }
-    sum + compensation
+    sum
 }
 
 /// Broken-array multiplier: omit the `count` lowest-weight partial

@@ -385,6 +385,53 @@ fn inputs<T>(it: impl Iterator<Item = T>) -> &'static [T] {
 
 const P16: PositFormat = PositFormat::POSIT16;
 
+/// Two's-complement decode of a posit16 (es = 1) code as it stands, with
+/// no negation: a negative code's regime and exponent read inverted, and
+/// its raw fraction `f` sits under a sign-embedded hidden bit of −2, so
+/// the significand is `-2 + f` where a positive code's is `1 + f` (the
+/// 8-bit `decode_signed` of nga-hwmodel's Yonemoto multiplier, at es = 1).
+/// When the positive twin's exponent and fraction are all zero, the
+/// inverted regime reads one run deeper and the missing exponent bit
+/// reads 1, which the −2 absorbs: `-2·2^(2(k-1)+1) = -2^(2k)`.
+fn decode_twos_complement(bits: u16) -> f64 {
+    match bits {
+        0 => return 0.0,
+        0x8000 => return f64::NAN,
+        _ => {}
+    }
+    let neg = bits >> 15 == 1;
+    // The 15 bits after the sign, left-aligned.
+    let body = bits << 1;
+    let probe = if neg { !body } else { body };
+    let run = if probe >> 15 == 1 {
+        probe.leading_ones()
+    } else {
+        probe.leading_zeros()
+    }
+    .min(15);
+    let k = if probe >> 15 == 1 {
+        run as i32 - 1
+    } else {
+        -(run as i32)
+    };
+    // Regime run plus terminator; what follows is exponent, then fraction.
+    let used = (run + 1).min(15);
+    let rest = body << used;
+    let e = i32::from(rest >> 15 == 1) ^ i32::from(neg);
+    let frac_len = (15 - used).saturating_sub(1);
+    let frac = if frac_len == 0 {
+        0
+    } else {
+        i32::from((rest << 1) >> (16 - frac_len))
+    };
+    let sig = if neg {
+        frac - (2 << frac_len)
+    } else {
+        frac + (1 << frac_len)
+    };
+    f64::from(sig) * f64::from(2 * k + e - frac_len as i32).exp2()
+}
+
 /// Sign-magnitude decode: negate first (a full two's-complement
 /// carry-propagate on the encoding), decode the positive twin, negate the
 /// value back — the "familiar bit parcels" detour of §V.
@@ -445,7 +492,7 @@ fn micro_cases() -> Vec<Micro> {
         case("ablations/posit_decode/twos_complement_direct", move || {
             codes
                 .iter()
-                .map(|&e| Posit::from_bits(black_box(e), P16).to_f64())
+                .map(|&e| decode_twos_complement(black_box(e) as u16))
                 .sum::<f64>()
         }),
         case(
@@ -790,6 +837,25 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The direct half of the §V decode ablation gives `Posit::to_f64`'s
+    /// value bit for bit for every posit16 code, NaR included.
+    #[test]
+    fn twos_complement_decode_matches_to_f64() {
+        for bits in 0..=0xFFFFu16 {
+            let want = Posit::from_bits(u64::from(bits), P16).to_f64();
+            let got = decode_twos_complement(bits);
+            if want.is_nan() {
+                assert!(got.is_nan(), "{bits:#06x}: {got}");
+            } else {
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{bits:#06x}: {got} vs {want}"
+                );
+            }
+        }
+    }
 
     /// The two halves of the §V decode ablation compute the same value
     /// for every posit16 code but NaR, so the pair times only the

@@ -1,10 +1,11 @@
 //! The formats under fault study and their f32 ⇄ code round-trips.
 //!
-//! This module is a declared host-float boundary (lint.toml): it exists
-//! to carry values between the host f32 world of the DNN substrate and
-//! the bit-exact encodings whose bits the injector flips. The encode and
-//! decode directions both go through the workspace's bit-exact
-//! implementations — no host rounding decision is made here.
+//! This module is a declared host-float boundary (nga-lint's
+//! `ALLOWLIST`): it exists to carry values between the host f32 world of
+//! the DNN substrate and the bit-exact encodings whose bits the injector
+//! flips. The encode and decode directions both go through the
+//! workspace's bit-exact implementations — no host rounding decision is
+//! made here.
 
 use nga_core::{Posit, PositFormat};
 use nga_fixed::{Fixed, FixedFormat, RoundingMode};

@@ -1,10 +1,11 @@
 //! Workload construction and format-faithful (fault-injectable) DNN
 //! evaluation.
 //!
-//! This module is a declared host-float boundary (lint.toml): the DNN
-//! substrate computes in f32, and the degradation metrics are *about*
-//! the formats, not part of their arithmetic. Everything is seeded —
-//! training, data and evaluation are bit-reproducible run to run.
+//! This module is a declared host-float boundary (nga-lint's
+//! `ALLOWLIST`): the DNN substrate computes in f32, and the degradation
+//! metrics are *about* the formats, not part of their arithmetic.
+//! Everything is seeded — training, data and evaluation are
+//! bit-reproducible run to run.
 
 use nga_nn::layers::{Layer, Network};
 use nga_nn::models::{kws_mini, resnet_mini};

@@ -4,7 +4,8 @@
 //! Every task derives its own SplitMix64 stream from (seed, task index),
 //! so the report is a pure function of the options regardless of thread
 //! count or interleaving. This module is a declared host-float boundary
-//! (lint.toml): degradation metrics are computed *about* the formats.
+//! (nga-lint's `ALLOWLIST`): degradation metrics are computed *about* the
+//! formats.
 
 use crate::codec::FormatKind;
 use crate::inject::Injector;

@@ -43,8 +43,6 @@ pub struct Comment {
     pub text: String,
     /// 1-based line the comment starts on.
     pub line: usize,
-    /// True when the comment is the first non-whitespace on its line.
-    pub own_line: bool,
 }
 
 /// A fully lexed source file.
@@ -68,7 +66,6 @@ struct Cursor<'a> {
     src: &'a [u8],
     pos: usize,
     line: usize,
-    line_has_tokens: bool,
 }
 
 impl<'a> Cursor<'a> {
@@ -81,7 +78,6 @@ impl<'a> Cursor<'a> {
         self.pos += 1;
         if b == b'\n' {
             self.line += 1;
-            self.line_has_tokens = false;
         }
         b
     }
@@ -100,7 +96,6 @@ pub fn lex(src: &str) -> Lexed {
         src: src.as_bytes(),
         pos: 0,
         line: 1,
-        line_has_tokens: false,
     };
     let mut out = Lexed::default();
     while cur.pos < cur.src.len() {
@@ -122,34 +117,27 @@ pub fn lex(src: &str) -> Lexed {
         } else {
             let line = cur.line;
             cur.bump();
-            push_tok(&mut out, &mut cur, TokKind::Punct(b), (b as char).to_string(), line);
+            push_tok(&mut out, TokKind::Punct(b), (b as char).to_string(), line);
         }
     }
     out.lines = cur.line;
     out
 }
 
-fn push_tok(out: &mut Lexed, cur: &mut Cursor, kind: TokKind, text: String, line: usize) {
-    cur.line_has_tokens = true;
+fn push_tok(out: &mut Lexed, kind: TokKind, text: String, line: usize) {
     out.toks.push(Tok { kind, text, line });
 }
 
 fn line_comment(cur: &mut Cursor, out: &mut Lexed) {
     let line = cur.line;
-    let own_line = !cur.line_has_tokens;
     let start = cur.pos + 2;
     cur.take_while(|b| b != b'\n');
     let text = String::from_utf8_lossy(&cur.src[start.min(cur.pos)..cur.pos]).into_owned();
-    out.comments.push(Comment {
-        text,
-        line,
-        own_line,
-    });
+    out.comments.push(Comment { text, line });
 }
 
 fn block_comment(cur: &mut Cursor, out: &mut Lexed) {
     let line = cur.line;
-    let own_line = !cur.line_has_tokens;
     cur.bump();
     cur.bump();
     let start = cur.pos;
@@ -176,11 +164,7 @@ fn block_comment(cur: &mut Cursor, out: &mut Lexed) {
         end = cur.pos;
     }
     let text = String::from_utf8_lossy(&cur.src[start..end]).into_owned();
-    out.comments.push(Comment {
-        text,
-        line,
-        own_line,
-    });
+    out.comments.push(Comment { text, line });
 }
 
 fn ident_or_prefixed_literal(cur: &mut Cursor, out: &mut Lexed, src: &str) {
@@ -207,7 +191,7 @@ fn ident_or_prefixed_literal(cur: &mut Cursor, out: &mut Lexed, src: &str) {
         }
         _ => {}
     }
-    push_tok(out, cur, TokKind::Ident, text.to_string(), line);
+    push_tok(out, TokKind::Ident, text.to_string(), line);
 }
 
 fn raw_string_tail(cur: &mut Cursor, out: &mut Lexed, src: &str, start: usize, line: usize) {
@@ -220,7 +204,7 @@ fn raw_string_tail(cur: &mut Cursor, out: &mut Lexed, src: &str, start: usize, l
         // `r#foo` raw identifier: re-lex the identifier after the hash.
         cur.take_while(is_ident_cont);
         let text = src[start..cur.pos].to_string();
-        push_tok(out, cur, TokKind::Ident, text, line);
+        push_tok(out, TokKind::Ident, text, line);
         return;
     }
     cur.bump();
@@ -240,7 +224,7 @@ fn raw_string_tail(cur: &mut Cursor, out: &mut Lexed, src: &str, start: usize, l
         }
     }
     let text = src[start..cur.pos].to_string();
-    push_tok(out, cur, TokKind::Str, text, line);
+    push_tok(out, TokKind::Str, text, line);
 }
 
 fn string(cur: &mut Cursor, out: &mut Lexed, src: &str) {
@@ -261,7 +245,7 @@ fn string_tail(cur: &mut Cursor, out: &mut Lexed, src: &str, start: usize, line:
         }
     }
     let text = src[start..cur.pos].to_string();
-    push_tok(out, cur, TokKind::Str, text, line);
+    push_tok(out, TokKind::Str, text, line);
 }
 
 fn char_or_lifetime(cur: &mut Cursor, out: &mut Lexed, src: &str) {
@@ -272,7 +256,7 @@ fn char_or_lifetime(cur: &mut Cursor, out: &mut Lexed, src: &str) {
         cur.bump();
         cur.take_while(is_ident_cont);
         let text = src[start..cur.pos].to_string();
-        push_tok(out, cur, TokKind::Lifetime, text, line);
+        push_tok(out, TokKind::Lifetime, text, line);
         return;
     }
     cur.bump();
@@ -290,7 +274,7 @@ fn char_tail(cur: &mut Cursor, out: &mut Lexed, src: &str, start: usize, line: u
         }
     }
     let text = src[start..cur.pos].to_string();
-    push_tok(out, cur, TokKind::Char, text, line);
+    push_tok(out, TokKind::Char, text, line);
 }
 
 fn number(cur: &mut Cursor, out: &mut Lexed, src: &str) {
@@ -334,7 +318,7 @@ fn number(cur: &mut Cursor, out: &mut Lexed, src: &str) {
     }
     let text = src[start..cur.pos].to_string();
     let kind = if is_float { TokKind::Float } else { TokKind::Int };
-    push_tok(out, cur, kind, text, line);
+    push_tok(out, kind, text, line);
 }
 
 #[cfg(test)]
@@ -389,9 +373,7 @@ mod tests {
     fn comments_are_captured_with_position() {
         let l = lex("let a = 1; // trailing\n// own line\nlet b = 2;");
         assert_eq!(l.comments.len(), 2);
-        assert!(!l.comments[0].own_line);
         assert_eq!(l.comments[0].line, 1);
-        assert!(l.comments[1].own_line);
         assert_eq!(l.comments[1].line, 2);
     }
 

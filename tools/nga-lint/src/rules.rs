@@ -1,30 +1,27 @@
-//! Per-file token rules and the `// lint: allow(...)` escape hatch.
+//! The R1 scan and its `// lint: allow-start` … `allow-end` waivers.
 //!
-//! Every rule operates on the token stream from [`crate::lexer`], so
+//! The scan operates on the token stream from [`crate::lexer`], so
 //! occurrences inside strings, comments and doc examples never count,
 //! and `#[cfg(test)]` / `#[test]` items are recognised structurally and
-//! skipped by the rules that only police library paths.
+//! skipped.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::lexer::{lex, Lexed, Tok, TokKind};
 use crate::report::Finding;
 
 /// R1: host-FPU types, casts and float literals in bit-exact cores.
 pub const NO_HOST_FLOAT: &str = "no-host-float";
-/// Malformed or reason-less `// lint:` annotations.
+/// Malformed, reason-less or unbalanced `// lint:` annotations.
 pub const LINT_ANNOTATION: &str = "lint-annotation";
 
-/// Every rule id (the `--explain` index).
-pub const ALL_RULES: &[&str] = &[NO_HOST_FLOAT, LINT_ANNOTATION];
-
-/// A lexed file plus the line classifications rules consult.
+/// A lexed file plus the line classifications the scan consults.
 pub struct FileContext {
     pub rel: String,
     pub lexed: Lexed,
     test_lines: Vec<bool>,
-    /// rule id -> suppressed inclusive line ranges.
-    suppressed: BTreeMap<String, Vec<(usize, usize)>>,
+    /// Inclusive line ranges of the waiver regions.
+    waived: Vec<(usize, usize)>,
 }
 
 impl FileContext {
@@ -38,7 +35,7 @@ impl FileContext {
             rel: rel.to_string(),
             lexed,
             test_lines,
-            suppressed: BTreeMap::new(),
+            waived: Vec::new(),
         };
         ctx.parse_annotations(out);
         ctx
@@ -50,100 +47,47 @@ impl FileContext {
         self.test_lines.get(line).copied().unwrap_or(false)
     }
 
-    /// Whether findings for `rule` at `line` are waived by an annotation.
+    /// Whether `line` is inside a waiver region.
     #[must_use]
-    pub fn waived(&self, rule: &str, line: usize) -> bool {
-        self.suppressed
-            .get(rule)
-            .is_some_and(|ranges| ranges.iter().any(|&(a, b)| line >= a && line <= b))
-    }
-
-    fn waive(&mut self, rule: &str, from: usize, to: usize) {
-        self.suppressed
-            .entry(rule.to_string())
-            .or_default()
-            .push((from, to));
+    pub fn waived(&self, line: usize) -> bool {
+        self.waived.iter().any(|&(a, b)| line >= a && line <= b)
     }
 
     fn parse_annotations(&mut self, out: &mut Vec<Finding>) {
-        // rule -> stack of open allow-start lines.
-        let mut open: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        let comments = self.lexed.comments.clone();
-        let last_line = self.lexed.lines;
-        for c in &comments {
+        let mut finding = |line: usize, message: String| {
+            out.push(Finding {
+                rule: LINT_ANNOTATION,
+                path: self.rel.clone(),
+                line,
+                message,
+            });
+        };
+        // Lines of the open `allow-start`s.
+        let mut open = Vec::new();
+        for c in &self.lexed.comments {
             let Some(body) = annotation_body(&c.text) else {
                 continue;
             };
             match parse_directive(body) {
-                Ok(Directive::Allow(rules, _reason)) => {
-                    let to = if c.own_line { c.line + 1 } else { c.line };
-                    for r in self.check_rules(rules, c.line, out) {
-                        self.waive(&r, c.line, to);
-                    }
-                }
-                Ok(Directive::AllowStart(rules, _reason)) => {
-                    for r in self.check_rules(rules, c.line, out) {
-                        open.entry(r).or_default().push(c.line);
-                    }
-                }
-                Ok(Directive::AllowEnd(rules)) => {
-                    for r in self.check_rules(rules, c.line, out) {
-                        match open.get_mut(&r).and_then(Vec::pop) {
-                            Some(start) => self.waive(&r, start, c.line),
-                            None => out.push(Finding {
-                                rule: LINT_ANNOTATION,
-                                path: self.rel.clone(),
-                                line: c.line,
-                                message: format!(
-                                    "`allow-end({r})` without a matching `allow-start`"
-                                ),
-                            }),
-                        }
-                    }
-                }
-                Err(msg) => out.push(Finding {
-                    rule: LINT_ANNOTATION,
-                    path: self.rel.clone(),
-                    line: c.line,
-                    message: msg,
-                }),
+                Ok(Directive::AllowStart) => open.push(c.line),
+                Ok(Directive::AllowEnd) => match open.pop() {
+                    Some(start) => self.waived.push((start, c.line)),
+                    None => finding(
+                        c.line,
+                        format!("`allow-end({NO_HOST_FLOAT})` without a matching `allow-start`"),
+                    ),
+                },
+                Err(msg) => finding(c.line, msg),
             }
         }
-        for (rule, starts) in open {
-            for start in starts {
-                out.push(Finding {
-                    rule: LINT_ANNOTATION,
-                    path: self.rel.clone(),
-                    line: start,
-                    message: format!("`allow-start({rule})` is never closed by `allow-end`"),
-                });
-                // Still honour the start so one mistake doesn't cascade.
-                self.waive(&rule, start, last_line);
-            }
+        for start in open {
+            finding(
+                start,
+                format!("`allow-start({NO_HOST_FLOAT})` is never closed by `allow-end`"),
+            );
+            // Still honour the start so one mistake doesn't cascade.
+            self.waived.push((start, self.lexed.lines));
         }
-    }
-
-    /// Validates rule ids in an annotation, reporting unknown ones.
-    fn check_rules(
-        &self,
-        rules: Vec<String>,
-        line: usize,
-        out: &mut Vec<Finding>,
-    ) -> Vec<String> {
-        let mut ok = Vec::new();
-        for r in rules {
-            if ALL_RULES.contains(&r.as_str()) {
-                ok.push(r);
-            } else {
-                out.push(Finding {
-                    rule: LINT_ANNOTATION,
-                    path: self.rel.clone(),
-                    line,
-                    message: format!("unknown rule `{r}` in lint annotation"),
-                });
-            }
-        }
-        ok
     }
 }
 
@@ -154,54 +98,49 @@ fn annotation_body(comment: &str) -> Option<&str> {
 }
 
 enum Directive {
-    Allow(Vec<String>, String),
-    AllowStart(Vec<String>, String),
-    AllowEnd(Vec<String>),
+    AllowStart,
+    AllowEnd,
 }
 
+/// Parses `allow-start(no-host-float): <reason>` or
+/// `allow-end(no-host-float)`.
 fn parse_directive(body: &str) -> Result<Directive, String> {
-    for (name, wants_reason) in [("allow-start", true), ("allow-end", false), ("allow", true)] {
-        let Some(rest) = body.strip_prefix(name) else {
-            continue;
-        };
-        let rest = rest.trim_start();
-        let Some(inner) = rest.strip_prefix('(') else {
-            return Err(format!("expected `{name}(<rule>)`"));
-        };
-        let Some((rules, after)) = inner.split_once(')') else {
-            return Err(format!("unterminated rule list in `{name}(…)`"));
-        };
-        let rules: Vec<String> = rules
-            .split(',')
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .collect();
-        if rules.is_empty() {
-            return Err(format!("`{name}()` names no rules"));
-        }
-        if wants_reason {
-            let reason = after.trim_start().strip_prefix(':').map(str::trim);
-            match reason {
-                Some(r) if !r.is_empty() => {
-                    return Ok(if name == "allow" {
-                        Directive::Allow(rules, r.to_string())
-                    } else {
-                        Directive::AllowStart(rules, r.to_string())
-                    });
-                }
-                _ => {
-                    return Err(format!(
-                        "`{name}` must carry a reason: `// lint: {name}(<rule>): <why>`"
-                    ))
-                }
-            }
-        }
-        return Ok(Directive::AllowEnd(rules));
+    let (name, directive, rest) = if let Some(rest) = body.strip_prefix("allow-start") {
+        ("allow-start", Directive::AllowStart, rest)
+    } else if let Some(rest) = body.strip_prefix("allow-end") {
+        ("allow-end", Directive::AllowEnd, rest)
+    } else {
+        return Err(format!(
+            "unknown lint directive (expected `allow-start({NO_HOST_FLOAT}): <reason>` \
+             or `allow-end({NO_HOST_FLOAT})`)"
+        ));
+    };
+    let Some((rule, after)) = rest
+        .trim_start()
+        .strip_prefix('(')
+        .and_then(|inner| inner.split_once(')'))
+    else {
+        return Err(format!("expected `{name}({NO_HOST_FLOAT})`"));
+    };
+    let rule = rule.trim();
+    if rule != NO_HOST_FLOAT {
+        return Err(format!("unknown rule `{rule}` in lint annotation"));
     }
-    Err("unknown lint directive (expected allow / allow-start / allow-end)".to_string())
+    if let Directive::AllowStart = directive {
+        let reason = after.trim_start().strip_prefix(':').map(str::trim);
+        if reason.is_none_or(str::is_empty) {
+            return Err(format!(
+                "`{name}` must carry a reason: `// lint: {name}({NO_HOST_FLOAT}): <why>`"
+            ));
+        }
+    }
+    Ok(directive)
 }
 
-/// Marks the lines covered by `#[cfg(test)]` / `#[test]` items.
+/// Marks the lines covered by items under exactly `#[test]` or
+/// `#[cfg(test)]`. Any other attribute that mentions `test`, such as
+/// `#[cfg(any(test, debug_assertions))]`, also compiles into non-test
+/// builds, so its item is scanned.
 fn mark_test_lines(lexed: &Lexed) -> Vec<bool> {
     let toks = &lexed.toks;
     let mut lines = vec![false; lexed.lines + 2];
@@ -216,9 +155,9 @@ fn mark_test_lines(lexed: &Lexed) -> Vec<bool> {
         // Consume a run of consecutive outer attributes.
         let mut j = i;
         while is_punct(toks.get(j), b'#') && is_punct(toks.get(j + 1), b'[') {
+            // The attribute's tokens between its outer brackets.
+            let mut inner = Vec::new();
             let mut depth = 0usize;
-            let mut has_test = false;
-            let mut has_not = false;
             let mut k = j + 1;
             while k < toks.len() {
                 match &toks[k].kind {
@@ -229,16 +168,14 @@ fn mark_test_lines(lexed: &Lexed) -> Vec<bool> {
                             break;
                         }
                     }
-                    TokKind::Ident => {
-                        let t = toks[k].text.as_str();
-                        has_test |= t == "test" || t == "bench";
-                        has_not |= t == "not";
-                    }
                     _ => {}
+                }
+                if k > j + 1 {
+                    inner.push(toks[k].text.as_str());
                 }
                 k += 1;
             }
-            any_test |= has_test && !has_not;
+            any_test |= matches!(inner.as_slice(), ["test"] | ["cfg", "(", "test", ")"]);
             j = k + 1;
         }
         if !any_test {
@@ -283,56 +220,28 @@ fn is_punct(t: Option<&Tok>, c: u8) -> bool {
     matches!(t, Some(tok) if tok.kind == TokKind::Punct(c))
 }
 
-/// Emits `f` unless the line is in a test item or waived.
-fn emit(
-    ctx: &FileContext,
-    out: &mut Vec<Finding>,
-    seen: &mut BTreeSet<(usize, String)>,
-    rule: &'static str,
-    line: usize,
-    message: String,
-) {
-    if ctx.in_test(line) {
-        return;
-    }
-    if ctx.waived(rule, line) {
-        return;
-    }
-    if !seen.insert((line, message.clone())) {
-        return;
-    }
-    out.push(Finding {
-        rule,
-        path: ctx.rel.clone(),
-        line,
-        message,
-    });
-}
-
 /// R1: flags `f32`/`f64` identifiers (types, casts, paths) and float
-/// literals outside test items.
+/// literals outside test items and waiver regions, once per line and
+/// message.
 pub fn scan_host_float(ctx: &FileContext, out: &mut Vec<Finding>) {
     let mut seen = BTreeSet::new();
     for t in &ctx.lexed.toks {
-        match &t.kind {
-            TokKind::Float => emit(
-                ctx,
-                out,
-                &mut seen,
-                NO_HOST_FLOAT,
-                t.line,
-                format!("float literal `{}` in a bit-exact core", t.text),
-            ),
-            TokKind::Ident if t.text == "f32" || t.text == "f64" => emit(
-                ctx,
-                out,
-                &mut seen,
-                NO_HOST_FLOAT,
-                t.line,
-                format!("host float type `{}` in a bit-exact core", t.text),
-            ),
-            _ => {}
+        let message = match &t.kind {
+            TokKind::Float => format!("float literal `{}` in a bit-exact core", t.text),
+            TokKind::Ident if t.text == "f32" || t.text == "f64" => {
+                format!("host float type `{}` in a bit-exact core", t.text)
+            }
+            _ => continue,
+        };
+        if ctx.in_test(t.line) || ctx.waived(t.line) || !seen.insert((t.line, message.clone())) {
+            continue;
         }
+        out.push(Finding {
+            rule: NO_HOST_FLOAT,
+            path: ctx.rel.clone(),
+            line: t.line,
+            message,
+        });
     }
 }
 
@@ -346,55 +255,40 @@ mod tests {
         (c, out)
     }
 
+    fn scan(src: &str) -> Vec<Finding> {
+        let (c, mut out) = ctx(src);
+        scan_host_float(&c, &mut out);
+        out
+    }
+
     #[test]
     fn float_rule_flags_types_literals_and_casts() {
-        let (c, mut out) = ctx("fn f(x: f64) -> f32 { (x * 1.5) as f32 }\n");
-        scan_host_float(&c, &mut out);
+        let out = scan("fn f(x: f64) -> f32 { (x * 1.5) as f32 }\n");
         assert_eq!(out.iter().filter(|f| f.rule == NO_HOST_FLOAT).count(), 3);
     }
 
     #[test]
     fn float_rule_skips_tests_and_strings() {
         let src = "fn ok() -> u32 { 1 }\nconst S: &str = \"f64 1.5\";\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { let x = 1.5f64; }\n}\n";
-        let (c, mut out) = ctx(src);
-        scan_host_float(&c, &mut out);
+        let out = scan(src);
         assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]
     fn cfg_not_test_is_still_linted() {
-        let src = "#[cfg(not(test))]\nfn f() { let x = 1.5; }\n";
-        let (c, mut out) = ctx(src);
-        scan_host_float(&c, &mut out);
+        let out = scan("#[cfg(not(test))]\nfn f() { let x = 1.5; }\n");
         assert_eq!(out.len(), 1);
     }
 
     #[test]
-    fn allow_annotation_waives_next_line_with_reason() {
-        let src = "// lint: allow(no-host-float): a reporting boundary\nfn f() -> f64 { 1.0 }\nfn g() -> f64 { 2.0 }\n";
-        let (c, mut out) = ctx(src);
-        assert!(out.is_empty(), "{out:?}");
-        scan_host_float(&c, &mut out);
-        assert_eq!(out.len(), 2, "{out:?}"); // only line 3: `f64` + `2.0`
-        assert!(out.iter().all(|f| f.line == 3), "{out:?}");
-    }
-
-    #[test]
-    fn allow_without_reason_is_itself_a_finding_and_waives_nothing() {
-        let src = "// lint: allow(no-host-float)\nfn f() -> f64 { 0 }\n";
-        let (c, mut out) = ctx(src);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].rule, LINT_ANNOTATION);
-        scan_host_float(&c, &mut out);
-        assert!(out.iter().any(|f| f.rule == NO_HOST_FLOAT && f.line == 2), "{out:?}");
-    }
-
-    #[test]
-    fn unknown_rule_in_annotation_is_a_finding() {
-        let src = "// lint: allow(no-such-rule): whatever\nfn f() {}\n";
-        let (_, out) = ctx(src);
-        assert_eq!(out.len(), 1);
-        assert!(out[0].message.contains("no-such-rule"));
+    fn cfg_any_test_is_still_linted() {
+        // Compiled into every debug build, not only into tests.
+        let out = scan("#[cfg(any(test, debug_assertions))]\nfn f() -> f64 { 1.5 }\n");
+        assert_eq!(out.len(), 2, "{out:?}");
+        assert!(
+            out.iter().all(|f| f.rule == NO_HOST_FLOAT && f.line == 2),
+            "{out:?}"
+        );
     }
 
     #[test]
@@ -408,9 +302,48 @@ mod tests {
     }
 
     #[test]
+    fn region_without_reason_is_itself_a_finding_and_waives_nothing() {
+        let src = "// lint: allow-start(no-host-float)\nfn f() -> f64 { 0 }\n// lint: allow-end(no-host-float)\n";
+        let out = scan(src);
+        let annotations: Vec<_> = out.iter().filter(|f| f.rule == LINT_ANNOTATION).collect();
+        // The reason-less start, then the end that has no start left.
+        assert_eq!(annotations.len(), 2, "{out:?}");
+        assert!(annotations[0].message.contains("reason"), "{out:?}");
+        assert!(
+            annotations[1].message.contains("without a matching"),
+            "{out:?}"
+        );
+        assert!(
+            out.iter().any(|f| f.rule == NO_HOST_FLOAT && f.line == 2),
+            "{out:?}"
+        );
+    }
+
+    #[test]
+    fn unknown_rules_and_directives_are_findings() {
+        for (src, says) in [
+            (
+                "// lint: allow-start(no-such-rule): whatever\n",
+                "no-such-rule",
+            ),
+            (
+                "// lint: allow-start(no-host-float, other): two rules\n",
+                "unknown rule",
+            ),
+            (
+                "// lint: allow(no-host-float): a one-line waiver\n",
+                "unknown lint directive",
+            ),
+        ] {
+            let (_, out) = ctx(src);
+            assert_eq!(out.len(), 1, "{src}: {out:?}");
+            assert!(out[0].message.contains(says), "{src}: {out:?}");
+        }
+    }
+
+    #[test]
     fn unclosed_region_is_reported() {
-        let src = "// lint: allow-start(no-host-float): oops\nfn f() {}\n";
-        let (_, out) = ctx(src);
+        let (_, out) = ctx("// lint: allow-start(no-host-float): oops\nfn f() {}\n");
         assert_eq!(out.len(), 1);
         assert!(out[0].message.contains("never closed"));
     }

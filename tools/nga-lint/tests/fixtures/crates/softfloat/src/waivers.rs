@@ -1,12 +1,13 @@
-//! Fixture: per-site waivers of the host-float rule.
+//! Fixture: waiver regions of the host-float rule.
 
+// lint: allow-start(no-host-float): fixture-sanctioned, reason present
 pub fn waived(bits: u64) -> u64 {
-    // lint: allow(no-host-float): fixture-sanctioned, reason present
     (bits as f64) as u64
 }
+// lint: allow-end(no-host-float)
 
+// lint: allow-start(no-host-float)
 pub fn badly_waived(bits: u64) -> u64 {
-    // lint: allow(no-host-float)
     (bits as f64) as u64
 }
-
+// lint: allow-end(no-host-float)

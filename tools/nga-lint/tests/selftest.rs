@@ -1,16 +1,16 @@
-//! Fixture self-tests: every rule must fire on the seeded violations in
-//! `tests/fixtures/` with the right rule id and file:line — and the real
-//! workspace must lint clean. The rules rustc and clippy enforce have
-//! their own fixture crate (`tests/fixtures/clippy/`, gated by
-//! `scripts/clippy-fixture.sh`); the tests here keep its copy of the
-//! workspace lint policy in step with the real one.
+//! Fixture self-tests: R1 must fire on the seeded violations in
+//! `tests/fixtures/` with the right rule id and file:line, the real
+//! workspace must lint clean, and the policy must still cover the tree.
+//! The rules rustc and clippy enforce have their own fixture crate
+//! (`tests/fixtures/clippy/`, gated by `scripts/clippy-fixture.sh`); the
+//! tests here keep its copy of the workspace lint policy in step with the
+//! real one.
 
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-use nga_lint::config::Config;
-use nga_lint::lint_workspace;
-use nga_lint::report::Finding;
+use nga_lint::report::LintResult;
+use nga_lint::{lint_workspace, path_has_prefix, ALLOWLIST, ROOTS};
 
 fn fixtures_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
@@ -28,23 +28,22 @@ fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-fn fixture_findings() -> &'static [Finding] {
-    static FINDINGS: OnceLock<Vec<Finding>> = OnceLock::new();
-    FINDINGS.get_or_init(|| {
-        let root = fixtures_root();
-        let cfg = Config::load(&root.join("lint.toml")).expect("fixture policy parses");
-        lint_workspace(&root, &cfg).findings
-    })
+/// The lint of the fixture tree, whose `crates/softfloat/src` is one of
+/// the real policy's roots and holds one of its allowlisted files.
+fn fixture() -> &'static LintResult {
+    static RESULT: OnceLock<LintResult> = OnceLock::new();
+    RESULT.get_or_init(|| lint_workspace(&fixtures_root()))
 }
 
 #[track_caller]
 fn assert_fires(rule: &str, path: &str, line: usize) {
+    let findings = &fixture().findings;
     assert!(
-        fixture_findings()
+        findings
             .iter()
             .any(|f| f.rule == rule && f.path == path && f.line == line),
         "expected [{rule}] at {path}:{line}; got:\n{}",
-        fixture_findings()
+        findings
             .iter()
             .map(ToString::to_string)
             .collect::<Vec<_>>()
@@ -53,17 +52,9 @@ fn assert_fires(rule: &str, path: &str, line: usize) {
 }
 
 #[track_caller]
-fn assert_silent(rule: &str, path: &str) {
-    let hits: Vec<_> = fixture_findings()
-        .iter()
-        .filter(|f| f.rule == rule && f.path == path)
-        .collect();
-    assert!(hits.is_empty(), "unexpected [{rule}] findings: {hits:?}");
-}
-
-#[track_caller]
 fn assert_silent_at(path: &str, line: usize) {
-    let hits: Vec<_> = fixture_findings()
+    let hits: Vec<_> = fixture()
+        .findings
         .iter()
         .filter(|f| f.path == path && f.line == line)
         .collect();
@@ -82,24 +73,39 @@ fn injected_f64_op_is_flagged_with_file_and_line() {
 
 #[test]
 fn allowlisted_conversion_module_is_exempt() {
-    assert_silent("no-host-float", "crates/softfloat/src/value.rs");
+    assert_eq!(
+        fixture().scanned,
+        [
+            "crates/softfloat/src/arith.rs",
+            "crates/softfloat/src/waivers.rs"
+        ],
+        "value.rs is allowlisted"
+    );
+    assert!(
+        fixture()
+            .findings
+            .iter()
+            .all(|f| f.path != "crates/softfloat/src/value.rs"),
+        "{:?}",
+        fixture().findings
+    );
 }
 
 #[test]
 fn reasoned_waiver_suppresses_and_reasonless_waiver_is_itself_flagged() {
-    // Line 4 carries `// lint: allow(no-host-float): <reason>`.
+    // Lines 3-7 are a region opened with a reason.
     assert_silent_at("crates/softfloat/src/waivers.rs", 5);
-    // Line 9 is `// lint: allow(no-host-float)` without a reason: the
-    // annotation itself is a finding and grants no waiver.
+    // Line 9 opens a region without a reason: the annotation itself is a
+    // finding and grants no waiver, so line 13's end has no start.
     assert_fires("lint-annotation", "crates/softfloat/src/waivers.rs", 9);
-    assert_fires("no-host-float", "crates/softfloat/src/waivers.rs", 10);
+    assert_fires("no-host-float", "crates/softfloat/src/waivers.rs", 11);
+    assert_fires("lint-annotation", "crates/softfloat/src/waivers.rs", 13);
 }
 
 #[test]
 fn real_workspace_lints_clean() {
     let root = workspace_root();
-    let cfg = Config::load(&root.join("lint.toml")).expect("workspace policy parses");
-    let result = lint_workspace(&root, &cfg);
+    let result = lint_workspace(&root);
     assert!(
         result.findings.is_empty(),
         "workspace must be lint-clean:\n{}",
@@ -110,33 +116,46 @@ fn real_workspace_lints_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    // R1 read every file it is configured to cover, counted here by an
-    // independent walk of its paths less its allowlisted files.
-    let r1 = cfg.rule("no-host-float");
-    let covered = |paths: &[String]| paths.iter().map(|p| count_rs(&root.join(p))).sum::<usize>();
-    let want = covered(&r1.paths) - covered(&r1.allow_paths);
+    // R1 read every file its policy covers, counted here by an
+    // independent walk of its roots less its allowlisted files.
+    let covered = |paths: &[&str]| paths.iter().map(|p| count_rs(&root.join(p))).sum::<usize>();
+    let want = covered(ROOTS) - covered(ALLOWLIST);
     assert!(want > 25, "R1 covers the bit-exact cores");
-    assert_eq!(result.files_scanned, want, "every R1 file scanned");
+    assert_eq!(result.scanned.len(), want, "every R1 file scanned");
+    println!("nga-lint: clean ({want} files scanned)");
 }
 
 #[test]
-fn config_errors_name_the_file_that_was_loaded() {
-    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("selftest-bad-policy.toml");
-    std::fs::write(&path, "[workspace]\n\n[rules.no-host-flaot]\n").expect("write policy");
-    let err = Config::load(&path).expect_err("unknown rule id");
-    assert_eq!(err.line, 3);
-    let shown = err.to_string();
-    assert!(
-        shown.starts_with(&format!("{}:3: ", path.display())),
-        "{shown}"
-    );
-    assert!(!shown.contains("lint.toml"), "{shown}");
+fn policy_covers_the_tree() {
+    // A renamed crate directory or module would otherwise shrink what R1
+    // scans without failing anything.
+    let root = workspace_root();
+    for path in ROOTS.iter().chain(ALLOWLIST) {
+        assert!(
+            root.join(path).exists(),
+            "policy path {path} does not exist"
+        );
+    }
+    for a in ALLOWLIST {
+        assert!(
+            ROOTS.iter().any(|r| path_has_prefix(a, r)),
+            "allowlisted {a} is under no root"
+        );
+    }
+    let scanned = lint_workspace(&root).scanned;
+    for r in ROOTS {
+        assert!(
+            scanned.iter().any(|f| path_has_prefix(f, r)),
+            "root {r} contributes no scanned file"
+        );
+    }
 }
 
 /// `.rs` files at `path`: the file itself, or every one below a directory.
+/// A path that does not exist has none.
 fn count_rs(path: &Path) -> usize {
     if !path.is_dir() {
-        return usize::from(path.extension().is_some_and(|e| e == "rs"));
+        return usize::from(path.is_file() && path.extension().is_some_and(|e| e == "rs"));
     }
     std::fs::read_dir(path)
         .unwrap_or_else(|e| panic!("{}: {e}", path.display()))

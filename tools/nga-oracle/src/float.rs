@@ -452,7 +452,7 @@ pub fn mul_vals(a: &FloatVal, b: &FloatVal) -> Option<FloatVal> {
 }
 
 /// The declared host-float conversion boundary; the only module in the
-/// crate allowed to touch `f64` (see `lint.toml`).
+/// crate allowed to touch `f64` (it is on nga-lint's `ALLOWLIST`).
 pub mod host;
 
 #[cfg(test)]

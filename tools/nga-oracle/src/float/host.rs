@@ -5,7 +5,7 @@
 //! with integer arithmetic.
 //!
 //! This is the only module in `nga-oracle` allowed to name host float
-//! types (see `lint.toml`, rule `no-host-float`).
+//! types (it is on nga-lint's `ALLOWLIST` for rule `no-host-float`).
 
 use super::{add_vals, mul_vals, neg_val, FloatSpec, FloatVal};
 use crate::posit::PositOracle;
