@@ -19,7 +19,9 @@
 //! in two's complement against a sign-magnitude re-encode, Wallace 3:2
 //! against ALM 6:3 compression, quire against per-step rounding), posit16
 //! ops, the soft IEEE formats, Q8.8 fixed point, the approximate
-//! multipliers and bit-heap compression.
+//! multipliers and bit-heap compression, and then one `Network::step` of
+//! kws_mini, pre-trained (with the subnormal momentum §V's subnormal row
+//! is about) and fresh.
 //!
 //! Every case runs through one timing loop, [`time_call`]. Prints
 //! markdown tables by default; `--json` additionally writes
@@ -35,6 +37,7 @@
     reason = "a benchmark times its cases and reads its flags and window"
 )]
 
+use std::cell::RefCell;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -47,9 +50,11 @@ use nga_kernels::{
     conv2d_f32, im2col, matmul8_parallel, matmul8_scalar, matmul_f32, matmul_f32_parallel,
     num_threads, ArithCtx, Format8, KernelTier, LutOp,
 };
+use nga_nn::data::Dataset;
 use nga_nn::layers::{Conv2d, Layer, Network};
 use nga_nn::models::{kws_mini, resnet20, resnet_mini};
 use nga_nn::quant::QuantizedNetwork;
+use nga_nn::train::{softmax_xent, train_float, TrainConfig};
 use nga_nn::Tensor;
 use nga_softfloat::{FloatFormat, SoftFloat, SubnormalMode};
 
@@ -433,16 +438,13 @@ fn decode_twos_complement(bits: u16) -> f64 {
 }
 
 /// Sign-magnitude decode: negate first (a full two's-complement
-/// carry-propagate on the encoding), decode the positive twin, negate the
-/// value back — the "familiar bit parcels" detour of §V.
-fn decode_sign_magnitude(bits: u64, fmt: PositFormat) -> f64 {
-    let neg = bits >> (fmt.n() - 1) == 1;
-    let mag = if neg {
-        bits.wrapping_neg() & fmt.bits_mask()
-    } else {
-        bits
-    };
-    let v = Posit::from_bits(mag, fmt).to_f64();
+/// carry-propagate on the encoding), decode the positive twin with
+/// [`decode_twos_complement`], negate the value back — the "familiar bit
+/// parcels" detour of §V. On a positive code the direct decoder does no
+/// negation, so the pair differs only by the two negates.
+fn decode_sign_magnitude(bits: u16) -> f64 {
+    let neg = bits >> 15 == 1;
+    let v = decode_twos_complement(if neg { bits.wrapping_neg() } else { bits });
     if neg {
         -v
     } else {
@@ -500,7 +502,7 @@ fn micro_cases() -> Vec<Micro> {
             move || {
                 codes
                     .iter()
-                    .map(|&e| decode_sign_magnitude(black_box(e), P16))
+                    .map(|&e| decode_sign_magnitude(black_box(e) as u16))
                     .sum::<f64>()
             },
         ),
@@ -631,7 +633,53 @@ fn micro_cases() -> Vec<Micro> {
             ));
         }
     }
+    // One SGD step of kws_mini, pre-trained as the `retrain` workload's
+    // set-up does and fresh.
+    cases.extend([
+        sgd_step_case("nn/sgd_step/kws_mini_pretrained", pretrained_kws_mini()),
+        sgd_step_case("nn/sgd_step/kws_mini_fresh", fresh_kws_mini()),
+    ]);
     cases
+}
+
+/// The keyword task of Fig. 5 and of the `retrain` workload: its training
+/// half and a fresh kws_mini for it.
+fn kws_task() -> (Dataset, Network) {
+    let (train, _) = Dataset::synth_speech_noisy(16, 30, 24, 10, 0.7, 23).split_alternating();
+    (train, kws_mini(24, 10, 16, 23))
+}
+
+/// kws_mini after the `retrain` workload's 35 epochs of float training,
+/// which leave ~44 % of its momentum entries subnormal.
+fn pretrained_kws_mini() -> Network {
+    let (train, mut net) = kws_task();
+    let cfg = TrainConfig {
+        lr: 0.01,
+        momentum: 0.9,
+        epochs: 35,
+        seed: 5,
+    };
+    train_float(&mut net, &train, &cfg);
+    net
+}
+
+/// A fresh kws_mini with the gradient of one sample, so its first step
+/// leaves every momentum entry normal or zero.
+fn fresh_kws_mini() -> Network {
+    let (train, mut net) = kws_task();
+    let (x, label) = train.sample(0);
+    let logits = net.forward_train(&x);
+    net.backward(&softmax_xent(&logits, label).1)
+        .expect("forward_train filled the caches");
+    net
+}
+
+/// `Network::step` on `net` at momentum 1: with the gradient zeroed by
+/// the previous step, every velocity stays as it is, so each call sees
+/// the same mix of normal and subnormal momentum entries.
+fn sgd_step_case(name: &str, net: Network) -> Micro {
+    let net = RefCell::new(net);
+    case(name, move || net.borrow_mut().step(0.004, 1.0))
 }
 
 fn fmt_ops(ops: f64) -> String {
@@ -868,7 +916,7 @@ mod tests {
                 continue;
             }
             assert_eq!(
-                decode_sign_magnitude(bits, P16).to_bits(),
+                decode_sign_magnitude(bits as u16).to_bits(),
                 direct.to_f64().to_bits(),
                 "{bits:#06x}"
             );

@@ -16,6 +16,19 @@
 //! layer's own, and then runs [`Layer::forward`]; only max pooling (its
 //! argmax) and residual blocks (their inner layers) compute their own.
 //!
+//! That update is SGD with momentum, bit for bit as the host evaluates
+//! `v ← momentum·v − lr·g; w ← w + v`, but without the host's slow
+//! subnormal multiply (§V's point about IEEE subnormals): the momentum of
+//! a weight whose gradient stays 0 decays into the subnormal range and
+//! stays there, and x86 multiplies on a slow path whenever an operand or
+//! the result is subnormal. Products of zero or subnormal velocities are
+//! formed from the fraction field in f64 instead, exactly (`m·|momentum|`
+//! needs at most 47 bits) and rounded to an integer with ties to even,
+//! which is the host's rounding on the 2^-149 grid those products lie on
+//! while `|momentum| < 2`. Additions and subtractions take no slow path
+//! on subnormals and stay on the host. A network step adds the number of
+//! subnormal velocities it wrote to its trace scope's `underflow` count.
+//!
 //! Each pass records its nominal MACs in the current trace scope
 //! (`nga_obs::OpCounts::add_macs`), derived from the shape with padded
 //! taps included, matching [`Layer::macs`] (`conv2d_f32` records a conv
@@ -72,6 +85,9 @@ struct Train {
     grad_b: Tensor,
     vel_w: Tensor,
     vel_b: Tensor,
+    /// How many velocities the last step left subnormal: while none are,
+    /// a step runs the plain update without looking for them.
+    subnormals: u64,
     cache_in: Option<Tensor>,
 }
 
@@ -84,6 +100,7 @@ impl Default for Train {
             grad_b: Tensor::zeros(&[0]),
             vel_w: Tensor::zeros(&[0]),
             vel_b: Tensor::zeros(&[0]),
+            subnormals: 0,
             cache_in: None,
         }
     }
@@ -664,15 +681,23 @@ impl Layer {
         }
     }
 
-    /// SGD-with-momentum update; zeroes accumulated gradients.
-    pub fn step(&mut self, lr: f32, momentum: f32) {
+    /// SGD-with-momentum update; zeroes accumulated gradients. Returns
+    /// how many of the new velocities are subnormal (0 for a layer
+    /// without parameters); [`Network::step`] records that count.
+    pub fn step(&mut self, lr: f32, momentum: f32) -> u64 {
         if let Layer::Residual(r) = self {
-            for l in r.main.iter_mut().chain(r.shortcut.iter_mut()) {
-                l.step(lr, momentum);
-            }
+            r.main
+                .iter_mut()
+                .chain(r.shortcut.iter_mut())
+                .map(|l| l.step(lr, momentum))
+                .sum()
         } else if let Some((weights, bias, t)) = self.params_mut() {
-            sgd(weights, &mut t.grad_w, &mut t.vel_w, lr, momentum);
-            sgd(bias, &mut t.grad_b, &mut t.vel_b, lr, momentum);
+            let scan = t.subnormals > 0;
+            t.subnormals = sgd(weights, &mut t.grad_w, &mut t.vel_w, lr, momentum, scan)
+                + sgd(bias, &mut t.grad_b, &mut t.vel_b, lr, momentum, scan);
+            t.subnormals
+        } else {
+            0
         }
     }
 
@@ -809,10 +834,13 @@ impl Network {
         Ok(())
     }
 
-    /// SGD step over all layers.
+    /// SGD step over all layers. Adds the number of subnormal velocities
+    /// it wrote to the current trace scope's `underflow` count, in one
+    /// record per step and none when there are none.
     pub fn step(&mut self, lr: f32, momentum: f32) {
-        for l in &mut self.layers {
-            l.step(lr, momentum);
+        let subnormal: u64 = self.layers.iter_mut().map(|l| l.step(lr, momentum)).sum();
+        if subnormal > 0 {
+            nga_obs::record(|c| c.underflow = c.underflow.saturating_add(subnormal));
         }
     }
 
@@ -836,14 +864,129 @@ impl Network {
     }
 }
 
-fn sgd(w: &mut Tensor, g: &mut Tensor, v: &mut Tensor, lr: f32, momentum: f32) {
+/// Lanes per block of [`sgd`]: a block whose velocities are all normal
+/// or zero runs the plain update.
+const SGD_BLOCK: usize = 64;
+
+/// SGD with momentum over one parameter tensor, `v ← momentum·v − lr·g`,
+/// `w ← w + v`, `g ← 0`, bit for bit as the host computes that
+/// expression. Returns how many of the new velocities are subnormal.
+///
+/// A weight whose gradient stays 0 keeps a velocity that `v ← 0.9·v`
+/// decays into the subnormal range, where round-to-nearest-even holds it
+/// at a fixed point (`0.9·m·2^-149` rounds back to `m·2^-149` for
+/// `m ≤ 4`). On x86 the host's f32 multiply takes a slow path, about 100
+/// times the normal cost, whenever an operand or the result is
+/// subnormal. Additions and subtractions do not, so `w + v` stays on the
+/// host; skipping it would save nothing, and would be exact only for
+/// finite `|w| > 2^-102`, where `|v| < 2^-126` is under half the f32
+/// spacing on both sides of `w` (at `|w| = 2^-102` the spacing below
+/// halves, and an opposite `v` above 2^-127 moves `w`).
+///
+/// Unless `scan` is set (the last step left a subnormal velocity
+/// behind), every lane runs the plain update. Otherwise each block of
+/// [`SGD_BLOCK`] lanes is checked, and a block holding a subnormal
+/// velocity runs [`sgd_decaying`], which forms the products of those
+/// velocities without the host multiply.
+fn sgd(w: &mut Tensor, g: &mut Tensor, v: &mut Tensor, lr: f32, momentum: f32, scan: bool) -> u64 {
     let (g, v) = (state(g, w), state(v, w));
-    for i in 0..w.len() {
-        let vel = momentum * v.data()[i] - lr * g.data()[i];
-        v.data_mut()[i] = vel;
-        w.data_mut()[i] += vel;
-        g.data_mut()[i] = 0.0;
+    let (w, g, v) = (w.data_mut(), g.data_mut(), v.data_mut());
+    if !scan {
+        return sgd_plain(w, g, v, lr, momentum);
     }
+    let blocks = w
+        .chunks_mut(SGD_BLOCK)
+        .zip(g.chunks_mut(SGD_BLOCK))
+        .zip(v.chunks_mut(SGD_BLOCK));
+    blocks
+        .map(|((w, g), v)| {
+            if v.iter().any(|&x| subnormal(x)) {
+                sgd_decaying(w, g, v, lr, momentum)
+            } else {
+                sgd_plain(w, g, v, lr, momentum)
+            }
+        })
+        .sum()
+}
+
+/// The host expression, lane by lane; returns how many of the new
+/// velocities are subnormal.
+fn sgd_plain(w: &mut [f32], g: &mut [f32], v: &mut [f32], lr: f32, momentum: f32) -> u64 {
+    let mut subnormals = 0u32;
+    for ((w, g), v) in w.iter_mut().zip(g.iter_mut()).zip(v.iter_mut()) {
+        let vel = momentum * *v - lr * *g;
+        *v = vel;
+        *w += vel;
+        *g = 0.0;
+        subnormals += u32::from(subnormal(vel));
+    }
+    u64::from(subnormals)
+}
+
+/// [`sgd_plain`] with every product `momentum·v` of a zero or subnormal
+/// `v` taken from [`decay`] instead of the host multiply. The momentum
+/// must be zero, or normal with `|momentum| < 2`; any other momentum
+/// runs [`sgd_plain`].
+///
+/// The loop is vectorised: the compiler computes both arms of the choice
+/// between [`decay`] and the host product for every lane and keeps one.
+/// So a subnormal `v` reaches the host multiply as a stand-in between 2
+/// and 4 (its bit 30 set), whose product with a normal momentum is
+/// normal, and is discarded. The stand-in is chosen by a
+/// different test ([`subnormal`]) than the arm (the exponent field); with
+/// the same test the compiler would see that the stand-in equals `v`
+/// wherever its product is kept, and multiply `v` itself.
+fn sgd_decaying(w: &mut [f32], g: &mut [f32], v: &mut [f32], lr: f32, momentum: f32) -> u64 {
+    if !(momentum == 0.0 || (momentum.is_normal() && momentum.abs() < 2.0)) {
+        return sgd_plain(w, g, v, lr, momentum);
+    }
+    let mut subnormals = 0u32;
+    for ((w, g), v) in w.iter_mut().zip(g.iter_mut()).zip(v.iter_mut()) {
+        let bits = v.to_bits();
+        let product = if bits & 0x7F80_0000 == 0 {
+            decay(*v, momentum)
+        } else {
+            momentum * f32::from_bits(bits | u32::from(subnormal(*v)) << 30)
+        };
+        let vel = product - lr * *g;
+        *v = vel;
+        *w += vel;
+        *g = 0.0;
+        subnormals += u32::from(subnormal(vel));
+    }
+    u64::from(subnormals)
+}
+
+/// Whether `x` is subnormal, from its bits alone: `|x|`'s bits lie in
+/// `1..2^23`, which adding `2^31 − 1` maps to the lowest `2^23 − 1`
+/// values of an `i32`.
+fn subnormal(x: f32) -> bool {
+    ((x.to_bits() & 0x7FFF_FFFF).wrapping_add(0x7FFF_FFFF) as i32) < (0x807F_FFFF_u32 as i32)
+}
+
+/// `momentum·v` for a `v` whose exponent field is 0 (a zero or a
+/// subnormal), rounded as the host's f32 multiply rounds it but without
+/// a subnormal operation. `momentum` must be zero, or normal with
+/// `|momentum| < 2`.
+///
+/// `v` is `m·2^-149`, with `m < 2^23` its fraction field, and `momentum`
+/// has a 24-bit significand, so `m·|momentum|` is exact in f64 (at most
+/// 47 significant bits, and 0 or at least 2^-126, a normal f64). Adding
+/// 2^52 rounds it to an integer `q` with ties to even, which is then the
+/// low word of the sum's bits. That is the host's rounding: below
+/// 2^-125 = 2^24·2^-149 the f32 grid spacing is 2^-149, whether the
+/// product is subnormal or normal, and `|momentum| < 2` keeps `q ≤ 2^24`.
+/// For such `q` the bit pattern of the f32 `q·2^-149` is `q` itself: a
+/// subnormal fraction field below 2^23, and from there exponent field
+/// `q >> 23` over fraction `q mod 2^23`. The sign is the exclusive or of
+/// the operands' signs, for a zero product too.
+fn decay(v: f32, momentum: f32) -> f32 {
+    /// 2^52: f64 values from here to 2^53 are the integers.
+    const ROUND: f64 = 4_503_599_627_370_496.0;
+    let m = f64::from(v.to_bits() & 0x007F_FFFF);
+    let q = (m * f64::from(momentum.abs()) + ROUND).to_bits() as u32;
+    let sign = (v.to_bits() ^ momentum.to_bits()) & 0x8000_0000;
+    f32::from_bits(sign | q)
 }
 
 /// A gradient or momentum buffer for parameter `p`, zero-filled on first
@@ -1322,5 +1465,200 @@ mod tests {
             let ones = Tensor::from_vec(y.shape(), vec![1.0; y.len()]);
             assert_eq!(net.backward(&ones), Ok(()), "{name}");
         }
+    }
+
+    /// The host expression the update must match bit for bit: `sgd` as it
+    /// was written before it learned to avoid subnormal products.
+    fn host_step(w: &mut [f32], g: &mut [f32], v: &mut [f32], lr: f32, momentum: f32) {
+        for i in 0..w.len() {
+            let vel = momentum * v[i] - lr * g[i];
+            v[i] = vel;
+            w[i] += vel;
+            g[i] = 0.0;
+        }
+    }
+
+    /// Asserts that `got` equals `want` lane by lane, bit for bit, except
+    /// that a NaN matches any NaN: Rust leaves the payload of a NaN result
+    /// unspecified (the compiler may swap an add's operands), so neither
+    /// the host expression nor `sgd` pins it.
+    fn assert_lanes(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        let same = |(a, b): (&f32, &f32)| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        if let Some(i) = got.iter().zip(want).position(|p| !same(p)) {
+            panic!(
+                "{what}, lane {i}: {:#010x}, want {:#010x}",
+                got[i].to_bits(),
+                want[i].to_bits()
+            );
+        }
+    }
+
+    /// The momenta the subnormal path is checked at: the usual ones, a
+    /// negative one, the largest below 2 and a subnormal one (which takes
+    /// the host expression).
+    const MOMENTA: [f32; 8] = [
+        0.5,
+        0.9,
+        0.99,
+        1.0,
+        1.5,
+        -0.9,
+        f32::from_bits(0x3FFF_FFFF),
+        f32::from_bits(0x0000_0300),
+    ];
+
+    /// Every f32 with exponent field 0 (both zeros and all 2^24 − 2
+    /// signed subnormals) through the subnormal-safe update, against the
+    /// host's `momentum * v - lr * g` and `w + v`. The gradient is +0, so
+    /// each new velocity is the product itself, sign of zero included.
+    #[test]
+    fn every_subnormal_velocity_decays_as_the_host_multiplies() {
+        const LANES: u32 = 1 << 16;
+        let lr = 0.01;
+        for momentum in MOMENTA {
+            for start in (0..1u32 << 24).step_by(LANES as usize) {
+                let v0: Vec<f32> = (start..start + LANES)
+                    .map(|c| f32::from_bits((c & 0x007F_FFFF) | (c >> 23) << 31))
+                    .collect();
+                let (mut w, mut g, mut v) = (vec![1.0; v0.len()], vec![0.0; v0.len()], v0.clone());
+                let (mut hw, mut hg, mut hv) = (w.clone(), g.clone(), v0.clone());
+                let n = sgd_decaying(&mut w, &mut g, &mut v, lr, momentum);
+                host_step(&mut hw, &mut hg, &mut hv, lr, momentum);
+                assert_lanes(&v, &hv, &format!("velocities, momentum {momentum:e}"));
+                assert_lanes(&w, &hw, &format!("weights, momentum {momentum:e}"));
+                assert_eq!(n, hv.iter().filter(|x| x.is_subnormal()).count() as u64);
+            }
+        }
+    }
+
+    /// `sgd` against the host expression lane by lane, with and without
+    /// the block scan, over a grid of velocities, gradients, weights and
+    /// momenta chosen for their edges.
+    #[test]
+    fn sgd_lanes_match_the_host_expression() {
+        let sub = f32::from_bits;
+        let floor = sub(25 << 23); // 2^-102
+        let velocities = [
+            0.0,
+            -0.0,
+            sub(1),
+            sub(4),
+            sub(5),
+            -sub(3),
+            sub(0x007F_FFFF),
+            -sub(0x007F_FFFF),
+            f32::MIN_POSITIVE,
+            1e-3,
+            -0.25,
+        ];
+        let gradients = [0.0, -0.0, sub(7), -sub(0x0040_0000), 0.5, -1e-30];
+        let weights = [
+            0.0,
+            -0.0,
+            sub((25 << 23) - 1), // just below 2^-102
+            floor,
+            -floor,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            sub(0x7FC0_0001), // quiet NaN with a payload
+            sub(0x7FA0_1234), // signalling NaN with a payload
+            sub(0x0000_0009),
+            1.0,
+            -3.5,
+        ];
+        let round_up = sub(0x3F80_0001); // 1 + 2^-23
+        let momenta = [
+            0.9,
+            0.0,
+            -0.0,
+            2.0,
+            2.5,
+            f32::NAN,
+            round_up,
+            -1.5,
+            sub(0x0000_0300),
+        ];
+        let lr = 0.01;
+        let mut lanes = Vec::new();
+        for &v in &velocities {
+            for &g in &gradients {
+                for &w in &weights {
+                    lanes.push((w, g, v));
+                }
+            }
+        }
+        let unzip = |i: usize| -> Vec<f32> { lanes.iter().map(|l| [l.0, l.1, l.2][i]).collect() };
+        let n = lanes.len();
+        for momentum in momenta {
+            let (mut hw, mut hg, mut hv) = (unzip(0), unzip(1), unzip(2));
+            host_step(&mut hw, &mut hg, &mut hv, lr, momentum);
+            for scan in [false, true] {
+                let mut w = Tensor::from_vec(&[n], unzip(0));
+                let mut g = Tensor::from_vec(&[n], unzip(1));
+                let mut v = Tensor::from_vec(&[n], unzip(2));
+                let count = sgd(&mut w, &mut g, &mut v, lr, momentum, scan);
+                let at = format!("momentum {momentum:e}, scan {scan}");
+                assert_lanes(v.data(), &hv, &format!("velocities, {at}"));
+                assert_lanes(w.data(), &hw, &format!("weights, {at}"));
+                assert_lanes(g.data(), &hg, &format!("gradients, {at}"));
+                assert_eq!(
+                    count,
+                    hv.iter().filter(|x| x.is_subnormal()).count() as u64,
+                    "{at}"
+                );
+            }
+        }
+        // The largest subnormal times 1 + 2^-23 rounds up to 2^-126, the
+        // smallest normal.
+        let mut v = Tensor::from_vec(&[1], vec![sub(0x007F_FFFF)]);
+        let (mut w, mut g) = (Tensor::from_vec(&[1], vec![1.0]), Tensor::zeros(&[1]));
+        assert_eq!(sgd(&mut w, &mut g, &mut v, lr, round_up, true), 0);
+        assert_eq!(v.data()[0], f32::MIN_POSITIVE);
+    }
+
+    /// A step of a pre-trained network, whose dead weights hold subnormal
+    /// momentum, adds the subnormal velocities it wrote to its scope's
+    /// `underflow` count, and a step that writes none records nothing.
+    #[test]
+    fn a_step_records_its_subnormal_velocities_as_underflow() {
+        use crate::data::Dataset;
+        use crate::models::kws_mini;
+        use crate::train::{train_float, TrainConfig};
+        let data = Dataset::synth_speech(4, 15, 16, 8, 11);
+        let mut net = kws_mini(16, 8, 4, 5);
+        let cfg = TrainConfig {
+            lr: 0.02,
+            momentum: 0.9,
+            epochs: 20,
+            seed: 3,
+        };
+        train_float(&mut net, &data, &cfg);
+        let scope = "layers-test-step-underflow";
+        {
+            let _span = nga_obs::span(scope);
+            net.step(0.02, 0.9);
+        }
+        let subnormal: u64 = net
+            .layers
+            .iter_mut()
+            .filter_map(Layer::params_mut)
+            .flat_map(|(_, _, t)| t.vel_w.data().iter().chain(t.vel_b.data()))
+            .filter(|x| x.is_subnormal())
+            .count() as u64;
+        assert!(
+            subnormal > 0,
+            "the pre-trained net holds subnormal momentum"
+        );
+        let report = nga_obs::snapshot();
+        assert_eq!(report.get(scope).map(|c| c.underflow), Some(subnormal));
+
+        let mut fresh = kws_mini(16, 8, 4, 5);
+        let quiet = "layers-test-step-no-underflow";
+        {
+            let _span = nga_obs::span(quiet);
+            fresh.step(0.02, 0.9);
+        }
+        assert_eq!(nga_obs::snapshot().get(quiet).map(|c| c.underflow), Some(0));
     }
 }

@@ -36,7 +36,8 @@ pub struct OpCounts {
     pub inexact: u64,
     /// IEEE overflows to infinity (`Event8` bit 2).
     pub overflow: u64,
-    /// IEEE underflows (`Event8` bit 3).
+    /// IEEE underflows (`Event8` bit 3), and the subnormal velocities
+    /// each `nga_nn` network step writes.
     pub underflow: u64,
     /// Divisions of finite nonzero by zero (`Event8` bit 4).
     pub div_by_zero: u64,
